@@ -50,6 +50,14 @@ def _parse_sweep(arg: str) -> np.ndarray:
     return a0 + step * np.arange(npts)
 
 
+def _env_workers() -> int:
+    raw = os.environ.get(ENV_WORKERS, "1")
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{ENV_WORKERS} must be an integer, got {raw!r}") from exc
+
+
 def _emit(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
@@ -160,11 +168,8 @@ def cmd_sweep(args) -> int:
     rows = []
     for a in avals:
         a = float(a)
-        sp = shapes.spheroid(a)
-        gw = conformal.graham_witten(sp, order=order)
-        r8 = res.residue_m8(sp, order=order)["modified"]
-        r8nu = res.nu_residue_m8(sp, order=order)["modified"]
-        rows.append([a, gw, r8, r8nu])
+        eb = conformal.energy_breakdown(shapes.spheroid(a), order=order)
+        rows.append([a, eb.gw, eb.r8, eb.r8_nu])
     _emit(_csv(rows, ["a", "gw", "r8", "r8_nu"]), args.out)
     return 0
 
@@ -198,12 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, help="small-t cutoff override")
     p.add_argument("--fit-degree", type=int, dest="fit_degree",
                    help="number of even model coefficients")
-    p.add_argument("--tol", type=float, default=1e-6, help="reporting tolerance")
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--format", default="csv", choices=["csv", "report"])
     p.add_argument("--workers", type=int,
-                   default=int(os.environ.get(ENV_WORKERS, "1")),
-                   help="worker threads for pair accumulation")
+                   help=f"worker threads for pair accumulation (default: ${ENV_WORKERS} or 1)")
     return p
 
 
@@ -213,11 +216,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses code 2 for usage errors already
         return int(exc.code or 0)
-    if args.workers and args.workers > 0:
-        os.environ[ENV_WORKERS] = str(args.workers)
     dispatch = {"beta": cmd_beta, "residues": cmd_residues, "gw": cmd_gw,
                 "sweep": cmd_sweep, "verify": cmd_verify}
     try:
+        if args.workers is None:
+            args.workers = _env_workers()
+        if args.workers > 0:
+            os.environ[ENV_WORKERS] = str(args.workers)
         return dispatch[args.cmd](args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")

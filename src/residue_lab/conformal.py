@@ -19,7 +19,7 @@ from .manifold.frames import CurvatureFrame, curvature_frame
 from .manifold.quadrature import gauss_on
 from .manifold.shapes import ManifoldSpec
 from .oracles import spheroid_gw, spheroid_r8, spheroid_r8_nu
-from .residues import frame_integral, nu_residue_m8, residue_m8
+from .residues import frame_integral, local_r8_modified, local_r8_nu_modified
 
 
 @dataclass
@@ -98,7 +98,11 @@ def q_energy_product_form(kappa) -> float:
 def _grad_h_sq_intrinsic(spec: ManifoldSpec, patch_index: int, u: np.ndarray,
                          h: float = 1e-3) -> float:
     """|grad H|^2 = g^{ab} dH/du_a dH/du_b by central differences of the
-    scalar mean curvature in parameter space (hypersurfaces)."""
+    scalar mean curvature in parameter space (hypersurfaces).
+
+    A finite-difference reference for ``CurvatureFrame.grad_H_sq``; the
+    energies themselves use the exact graph jets.
+    """
     surf = spec.surface()
     patch = surf.patches[patch_index]
     from .manifold.quadrature import patch_jacobian
@@ -119,88 +123,53 @@ def _grad_h_sq_intrinsic(spec: ManifoldSpec, patch_index: int, u: np.ndarray,
     return float(dH @ np.linalg.solve(g, dH))
 
 
-def graham_witten(spec: ManifoldSpec, order: int = 48, reduced: str | bool = "auto",
-                  gradient_path: str = "intrinsic") -> float:
-    """Graham-Witten energy of a closed 4-D submanifold.
+def gw_density(fr: CurvatureFrame) -> float:
+    """Graham-Witten density (|grad H|^2 - |<h_ij, H>|^2 + (7/16) |H|^4) / 128.
+
+    Exact at the graph origin from the graph jets, any codimension:
+    grad H from the third derivatives, <h_ij, H> from the second.
+    """
+    Hv = fr.mean_curvature_vector
+    hH = np.einsum("ijq,q->ij", fr.f2, Hv)
+    return (fr.grad_H_sq() - float(np.sum(hH ** 2))
+            + 7.0 / 16.0 * float(np.sum(Hv ** 2)) ** 2) / 128.0
+
+
+def graham_witten(spec: ManifoldSpec, order: int = 48, reduced: str | bool = "auto") -> float:
+    """Graham-Witten energy of a closed 4-D submanifold: the integral of
+    ``gw_density`` over one pass of order-3 frames.
 
     Hypersurfaces: (1/128) int (|grad H|^2 - ||h||^2 H^2 + (7/16) H^4) dv.
-    General codimension uses |grad_perp H|^2 and <h_ij, H> from the graph
-    third derivatives. The mean-curvature gradient is computed intrinsically
-    by default; 'graph' uses the third-order graph coefficients instead.
     """
     surf = spec.surface()
     if surf.m != 4:
         raise NumericError("graham_witten needs a 4-dimensional submanifold")
-    if surf.codim == 1:
-        if gradient_path == "intrinsic":
-            # needs the parameter point, so integrate with an explicit frame fn
-            return _gw_hypersurface_intrinsic(spec, order, reduced)
-
-        def integrand(fr: CurvatureFrame) -> float:
-            k = fr.kappa
-            H = float(k.sum())
-            return (fr.grad_H_sq() - float(np.sum(k ** 2)) * H ** 2
-                    + 7.0 / 16.0 * H ** 4) / 128.0
-
-        return frame_integral(spec, integrand, order=order, max_order=3, reduced=reduced)
-
-    def integrand_codim(fr: CurvatureFrame) -> float:
-        Hv = fr.mean_curvature_vector
-        hH = np.einsum("ijq,q->ij", fr.f2, Hv)
-        s3 = np.einsum("iikq->kq", fr.f3)
-        return (float(np.sum(s3 ** 2)) - float(np.sum(hH ** 2))
-                + 7.0 / 16.0 * float(np.sum(Hv ** 2)) ** 2) / 128.0
-
-    return frame_integral(spec, integrand_codim, order=order, max_order=3, reduced=reduced)
-
-
-def _gw_hypersurface_intrinsic(spec: ManifoldSpec, order: int, reduced) -> float:
-    surf = spec.surface()
-    from .residues import _LINE_FIBER_ANGLES, _line_reducible
-    from .manifold.quadrature import volume_element
-    use_line = reduced is True or (reduced == "auto" and _line_reducible(surf))
-    if not use_line:
-        raise NumericError("intrinsic gradient path implemented on the reduced line; "
-                           "use gradient_path='graph' for generic 4-D shapes")
-    patch = surf.patches[0]
-    t2, t3, t4 = _LINE_FIBER_ANGLES
-    fiber = 2.0 * math.pi ** 2
-    denom = math.sin(t2) ** 2 * math.sin(t3)
-    ts, ws = gauss_on(0.0, math.pi, order)
-    u = np.stack([ts, np.full_like(ts, t2), np.full_like(ts, t3),
-                  np.full_like(ts, t4)], axis=1)
-    sg = volume_element(patch, u)
-    total = 0.0
-    for row, w, s in zip(u, ws, sg):
-        fr = curvature_frame(spec, row, patch_index=0, max_order=2)
-        k = fr.kappa
-        H = float(k.sum())
-        gh = _grad_h_sq_intrinsic(spec, 0, row)
-        val = (gh - float(np.sum(k ** 2)) * H ** 2 + 7.0 / 16.0 * H ** 4) / 128.0
-        total += w * (s / denom) * fiber * val
-    return total
+    return frame_integral(spec, gw_density, order=order, max_order=3, reduced=reduced)
 
 
 # ---------------------------------------------------------------------------
 # energies, identity, classification
 # ---------------------------------------------------------------------------
 
+def _energy_densities(fr: CurvatureFrame) -> tuple:
+    """(gw, |W|^2, X, q, R(-8), R_nu(-8)) densities, the last two order-3 modified."""
+    k = fr.kappa
+    return (gw_density(fr), weyl_norm_hyp(k), chern_density(k), q_energy(k),
+            local_r8_modified(fr), local_r8_nu_modified(fr))
+
+
 def energy_breakdown(spec: ManifoldSpec, order: int = 48,
                      reduced: str | bool = "auto") -> EnergyBreakdown:
     """All conformal energies of a closed 4-D hypersurface, plus the identity
-    residual gw - (3/2pi^2)(R_nu + 2 R) + (1/2048)(12 int|W|^2 + 5 Z)."""
+    residual gw - (3/2pi^2)(R_nu + 2 R) + (1/2048)(12 int|W|^2 + 5 Z).
+
+    One pass of order-3 frames feeds every integrand.
+    """
     surf = spec.surface()
     if surf.m != 4 or surf.codim != 1:
         raise NumericError("energy_breakdown needs a 4-D hypersurface")
-    gw = graham_witten(spec, order=order, reduced=reduced)
-    weyl = frame_integral(spec, lambda fr: weyl_norm_hyp(fr.kappa), order=order,
-                          max_order=2, reduced=reduced)
-    chern = frame_integral(spec, lambda fr: chern_density(fr.kappa), order=order,
-                           max_order=2, reduced=reduced)
-    z_en = frame_integral(spec, lambda fr: q_energy(fr.kappa), order=order,
-                          max_order=2, reduced=reduced)
-    r8 = residue_m8(spec, order=order, reduced=reduced)["modified"]
-    r8_nu = nu_residue_m8(spec, order=order, reduced=reduced)["modified"]
+    gw, weyl, chern, z_en, r8, r8_nu = frame_integral(
+        spec, _energy_densities, order=order, max_order=3, reduced=reduced)
     resid = (gw - 3.0 / (2.0 * math.pi ** 2) * (r8_nu + 2.0 * r8)
              + (12.0 * weyl + 5.0 * z_en) / 2048.0)
     return EnergyBreakdown(gw=gw, weyl=weyl, chern=chern, z_energy=z_en,
@@ -263,11 +232,8 @@ def independence_matrix(avals=(math.sqrt(2), math.sqrt(3), 2.0), order: int = 48
     from .manifold.shapes import spheroid as make_spheroid
     rows = []
     for a in avals:
-        sp = make_spheroid(a)
-        gw = graham_witten(sp, order=order)
-        r8 = residue_m8(sp, order=order)["modified"]
-        r8nu = nu_residue_m8(sp, order=order)["modified"]
-        rows.append([gw, r8, r8nu])
+        eb = energy_breakdown(make_spheroid(a), order=order)
+        rows.append([eb.gw, eb.r8, eb.r8_nu])
     return np.asarray(rows)
 
 

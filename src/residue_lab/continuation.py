@@ -108,7 +108,6 @@ class DistanceProfile:
     tail_wd: np.ndarray
     tail_wd2: np.ndarray
     kind: str = ""
-    exact_tail: Optional[Callable] = None   # psi'(t), unnormalized; serialization cells
     tail_quad: Optional[Callable] = None    # z -> complex, spectral tail integral
     metadata: dict = field(default_factory=dict)
 
@@ -624,9 +623,6 @@ def _exact_profile(spec, weight, delta, fit_degree) -> DistanceProfile:
     coeffs, expo, resid, cond, errs = _fit_even_model(m, edges, masses, ncoef, delta)
     tail_edges, tw, twd, twd2 = _exact_tail_cells(m, r, vol, lam, base, delta)
 
-    def exact_tail(t):
-        return vol * lam(t) * base(t)
-
     from .oracles import sphere_volume
     o = sphere_volume(m - 1)
 
@@ -641,8 +637,8 @@ def _exact_profile(spec, weight, delta, fit_degree) -> DistanceProfile:
                            weight=str(weight.value), mode="exact", coeffs=coeffs,
                            fit_residual=resid, fit_condition=cond, coeff_errors=errs,
                            tail_edges=tail_edges, tail_w=tw, tail_wd=twd,
-                           tail_wd2=twd2, kind=surf.kind, exact_tail=exact_tail,
-                           tail_quad=tail_quad, metadata={"r": r})
+                           tail_wd2=twd2, kind=surf.kind, tail_quad=tail_quad,
+                           metadata={"r": r})
 
 
 def _round_chord_sphere_volume(m, r) -> float:
@@ -713,7 +709,7 @@ def _geodesic_profile(spec, delta, fit_degree) -> DistanceProfile:
                            fit_residual=resid, fit_condition=cond, coeff_errors=errs,
                            tail_edges=tedges, tail_w=tw, tail_wd=twd, tail_wd2=twd2,
                            kind=surf.kind + "-geodesic",
-                           exact_tail=lambda t: density(t), tail_quad=tail_quad,
+                           tail_quad=tail_quad,
                            metadata={"r": r})
 
 
@@ -821,13 +817,6 @@ def _near_part_finite(profile: DistanceProfile, z0: float, skip_j: int) -> compl
 def _tail_part(profile: DistanceProfile, z: complex) -> complex:
     if profile.tail_quad is not None:
         return complex(profile.tail_quad(z))
-    if profile.exact_tail is not None:
-        total = 0.0 + 0.0j
-        edges = np.linspace(profile.delta, profile.diam, 17)
-        for k in range(16):
-            ts, ws = gauss_on(edges[k], edges[k + 1], 40)
-            total += np.sum(ws * ts ** z * profile.exact_tail(ts))
-        return complex(total)
     w, wd, wd2 = profile.tail_w, profile.tail_wd, profile.tail_wd2
     mid = 0.5 * (profile.tail_edges[:-1] + profile.tail_edges[1:])
     mask = w != 0.0

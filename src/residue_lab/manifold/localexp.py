@@ -20,25 +20,13 @@ import numpy as np
 from .._util import NumericError
 from .frames import CurvatureFrame
 from .quadrature import sphere_monomial_integral
+from . import series as _series
 
-_WDEG = 8  # highest w-degree appearing through r^4 coefficients
+_WDEG = 8  # highest w-degree appearing through r^4 coefficients; products truncate here
 
 
 def _wzero(m: int) -> np.ndarray:
     return np.zeros((_WDEG + 1,) * m)
-
-
-def _wmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(a)
-    deg = _WDEG
-    for idx in np.argwhere(a != 0.0):
-        val = a[tuple(idx)]
-        if sum(idx) > deg:
-            continue
-        src = tuple(slice(0, deg + 1 - k) for k in idx)
-        dst = tuple(slice(k, deg + 1) for k in idx)
-        out[dst] += val * b[src]
-    return out
 
 
 def _radial_pieces(frame: CurvatureFrame):
@@ -67,7 +55,7 @@ def _radial_pieces(frame: CurvatureFrame):
 def _dot(Fa, Fb, m):
     acc = _wzero(m)
     for a, b in zip(Fa, Fb):
-        acc += _wmul(a, b)
+        acc += _series.mul(a, b)
     return acc
 
 
@@ -130,12 +118,12 @@ def _area_density_pieces(frame: CurvatureFrame, upto: int):
     e2 = _wzero(m)
     for i in range(m):
         for j in range(m):
-            e2 += _wmul(M2[i][i], M2[j][j]) - _wmul(M2[i][j], M2[j][i])
+            e2 += _series.mul(M2[i][i], M2[j][j]) - _series.mul(M2[i][j], M2[j][i])
     e2 *= 0.5
     # sqrt(1 + x) = 1 + x/2 - x^2/8
     W2 = 0.5 * tr2
     W3 = 0.5 * tr3
-    W4 = 0.5 * (tr4 + e2) - 0.125 * _wmul(tr2, tr2)
+    W4 = 0.5 * (tr4 + e2) - 0.125 * _series.mul(tr2, tr2)
     return W2, W3, W4
 
 
@@ -159,7 +147,7 @@ def xi_coefficients(frame: CurvatureFrame, z: float, weight: str = "one",
     if upto >= 3 and 3 in G:
         P[3] += half * G[3]
     if upto >= 4 and 4 in G:
-        P[4] += half * G[4] + 0.5 * half * (half - 1.0) * _wmul(G[2], G[2])
+        P[4] += half * G[4] + 0.5 * half * (half - 1.0) * _series.mul(G[2], G[2])
     if weight == "nu":
         return P
     if weight != "one":
@@ -171,7 +159,7 @@ def xi_coefficients(frame: CurvatureFrame, z: float, weight: str = "one",
     if upto >= 3:
         out[3] += W3
     if upto >= 4:
-        out[4] += W4 + half * _wmul(G[2], W2)
+        out[4] += W4 + half * _series.mul(G[2], W2)
     return out
 
 
@@ -225,7 +213,7 @@ def relative_coefficients(frame: CurvatureFrame, z: float, which: str,
         W2, W3, W4 = _area_density_pieces(frame, 4)
         B = [-f2p,
              -f3p if f3p is not None else _wzero(m),
-             (-f4p if f4p is not None else _wzero(m)) - _wmul(f2p, W2)]
+             (-f4p if f4p is not None else _wzero(m)) - _series.mul(f2p, W2)]
     else:
         raise NumericError(f"unknown relative integrand {which!r}")
     out = []
@@ -233,7 +221,7 @@ def relative_coefficients(frame: CurvatureFrame, z: float, which: str,
         acc = _wzero(m)
         for a in range(k + 1):
             if a < len(B) and B[a] is not None and (k - a) < len(P):
-                acc += _wmul(P[k - a], B[a])
+                acc += _series.mul(P[k - a], B[a])
         out.append(acc)
     return out
 

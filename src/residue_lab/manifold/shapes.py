@@ -416,7 +416,7 @@ def from_config(doc) -> ManifoldSpec:
         doc = json.loads(doc)
     if not isinstance(doc, dict):
         raise ConfigError("shape config must be a mapping")
-    unknown = set(doc) - {"kind", "params", "orientation", "patches"}
+    unknown = set(doc) - {"kind", "params", "orientation"}
     if unknown:
         raise ConfigError(f"unknown shape config keys: {sorted(unknown)}")
     kind = doc.get("kind")

@@ -16,7 +16,8 @@ import numpy as np
 from ._util import NumericError, fmt_float
 from .manifold.frames import CurvatureFrame, curvature_frame
 from .manifold.localexp import local_residue_graph
-from .manifold.quadrature import body_volume, gauss_on, patch_grid, sample_quadrature
+from .manifold.quadrature import (body_volume, gauss_on, patch_grid, sample_quadrature,
+                                  volume_element)
 from .manifold.shapes import ManifoldSpec
 from .oracles import ball_volume, sphere_volume
 
@@ -58,50 +59,58 @@ def _line_reducible(surf: ManifoldSpec) -> bool:
 _LINE_FIBER_ANGLES = (1.0, 1.3, 0.7)
 
 
-def frame_integral(spec: ManifoldSpec, fn, order: int = 32, max_order: int = 2,
-                   reduced: str | bool = "auto") -> float:
-    """Integral over the spec (boundary of a body) of a frame functional.
+def _integration_nodes(spec: ManifoldSpec, order: int, reduced: str | bool):
+    """(patch index, parameter rows, weights) blocks of ``frame_integral``.
 
-    For 4-dimensional shapes that are rotation-symmetric about the last
-    ambient axis, the fiber directions integrate out to 2 pi^2 and the
-    integral reduces to a single line of frames.
+    On the reduced line the weights carry the fiber factor 2 pi^2 and divide
+    out the fiber part of the volume element at the fixed fiber angles.
     """
     surf = spec.surface()
     use_line = reduced is True or (reduced == "auto" and _line_reducible(surf))
     if use_line and surf.m == 4:
-        return _line_integral(spec, fn, order, max_order)
-    total = 0.0
+        t2, t3, t4 = _LINE_FIBER_ANGLES
+        fiber = 2.0 * math.pi ** 2
+        denom = math.sin(t2) ** 2 * math.sin(t3)
+        ts, ws = gauss_on(0.0, math.pi, order)
+        u = np.stack([ts, np.full_like(ts, t2), np.full_like(ts, t3),
+                      np.full_like(ts, t4)], axis=1)
+        sg = volume_element(surf.patches[0], u)
+        return [(0, u, ws * (sg / denom) * fiber)]
+    blocks = []
     for pi, patch in enumerate(surf.patches):
         u, wp = patch_grid(patch, order)
-        from .manifold.quadrature import volume_element
-        sg = volume_element(patch, u)
-        for row, w in zip(u, wp * sg):
-            total += w * fn(curvature_frame(spec, row, patch_index=pi, max_order=max_order))
-    return total
+        blocks.append((pi, u, wp * volume_element(patch, u)))
+    return blocks
 
 
-def _line_integral(spec: ManifoldSpec, fn, order: int, max_order: int) -> float:
-    surf = spec.surface()
-    patch = surf.patches[0]
-    t2, t3, t4 = _LINE_FIBER_ANGLES
-    fiber = 2.0 * math.pi ** 2
-    denom = math.sin(t2) ** 2 * math.sin(t3)
-    ts, ws = gauss_on(0.0, math.pi, order)
-    from .manifold.quadrature import volume_element
-    u = np.stack([ts, np.full_like(ts, t2), np.full_like(ts, t3),
-                  np.full_like(ts, t4)], axis=1)
-    sg = volume_element(patch, u)
+def frame_integral(spec: ManifoldSpec, fn, order: int = 32, max_order: int = 2,
+                   reduced: str | bool = "auto"):
+    """Integral over the spec (boundary of a body) of a frame functional.
+
+    ``fn`` maps a CurvatureFrame to a number, or to a tuple or 1-D array of
+    numbers; a vector integrand gives the array of its component integrals,
+    each bit-identical to a scalar call with that component alone. Each
+    node's frame is built once, at ``max_order``. For 4-dimensional shapes
+    that are rotation-symmetric about the last ambient axis, the fiber
+    directions integrate out to 2 pi^2 and the integral reduces to a single
+    line of frames.
+    """
     total = 0.0
-    for row, w, s in zip(u, ws, sg):
-        fr = curvature_frame(spec, row, patch_index=0, max_order=max_order)
-        total += w * (s / denom) * fiber * fn(fr)
-    return total
+    for pi, u, weights in _integration_nodes(spec, order, reduced):
+        for row, w in zip(u, weights):
+            fr = curvature_frame(spec, row, patch_index=pi, max_order=max_order)
+            total = total + w * np.asarray(fn(fr), dtype=float)
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def volume(spec: ManifoldSpec, order: int = 32) -> float:
     surf = spec.surface()
     if surf.m == 4 and _line_reducible(surf):
-        return _line_integral(spec, lambda fr: 1.0, order, 2)
+        (_, _, weights), = _integration_nodes(spec, order, True)
+        total = 0.0
+        for w in weights:   # in node order, as frame_integral sums
+            total += w
+        return float(total)
     return sample_quadrature(surf, order).total_weight
 
 
@@ -209,11 +218,11 @@ def body_residue_n3_crosscheck(body: ManifoldSpec, order: int = 32) -> float:
 
 
 def relative_residues(body: ManifoldSpec, order: int = 32) -> ResidueReport:
-    """Relative residues at z = -n, -n-1, -n-3 plus the local difference field.
+    """Relative residues at z = -n, -n-1, -n-3.
 
-    The difference of boundary-local and local relative residues at -n-3 is
-    o_{n-2} / (12 (n^2 - 1)) * Laplacian(H); it is attached to the report as
-    ``difference_field``.
+    The report's ``difference_field`` names the local density of the
+    difference of boundary-local and local relative residues at -n-3,
+    ``relative_difference_density``.
     """
     if not body.is_body:
         raise NumericError("relative_residues needs a body spec")
@@ -222,9 +231,8 @@ def relative_residues(body: ManifoldSpec, order: int = 32) -> ResidueReport:
 
     def at(o):
         area = sample_quadrature(body.boundary, o).total_weight
-        h_int = frame_integral(body, lambda fr: fr.H, order=o, max_order=2)
-        cube = frame_integral(
-            body, lambda fr: 4.0 * float(np.sum(fr.kappa ** 3)) - fr.H ** 3,
+        h_int, cube = frame_integral(
+            body, lambda fr: (fr.H, 4.0 * float(np.sum(fr.kappa ** 3)) - fr.H ** 3),
             order=o, max_order=2)
         return (sphere_volume(n - 1) / 2.0 * area,
                 sphere_volume(n - 2) / (2.0 * (n - 1)) * h_int,
@@ -234,12 +242,14 @@ def relative_residues(body: ManifoldSpec, order: int = 32) -> ResidueReport:
     hi = at(order + 4)
     for pole, vlo, vhi in zip((-n, -n - 1, -n - 3), lo, hi):
         rep.add(pole, vhi, "curvature", abs(vhi - vlo))
-
-    def difference_field(frame: CurvatureFrame) -> float:
-        return sphere_volume(n - 2) / (12.0 * (n * n - 1)) * frame.delta_H()
-
-    rep.metadata["difference_field"] = difference_field
+    rep.metadata["difference_field"] = relative_difference_density.__name__
     return rep
+
+
+def relative_difference_density(frame: CurvatureFrame, n: int) -> float:
+    """Boundary-local minus local relative residue density at z = -n-3 of an
+    n-dimensional body: o_{n-2} / (12 (n^2 - 1)) * Laplacian(H); needs f4."""
+    return sphere_volume(n - 2) / (12.0 * (n * n - 1)) * frame.delta_H()
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +366,9 @@ def residue_m8(spec: ManifoldSpec, order: int = 48, reduced: str | bool = "auto"
     surf = spec.surface()
     if surf.m != 4 or surf.codim != 1:
         raise NumericError("residue_m8 needs a closed 4-D hypersurface")
-    modified = frame_integral(spec, local_r8_modified, order=order, max_order=3,
-                              reduced=reduced)
-    raw = frame_integral(spec, local_r8_raw, order=order, max_order=4, reduced=reduced)
+    modified, raw = frame_integral(
+        spec, lambda fr: (local_r8_modified(fr), local_r8_raw(fr)),
+        order=order, max_order=4, reduced=reduced)
     return {"modified": modified, "raw": raw, "spread": abs(modified - raw)}
 
 
@@ -366,9 +376,9 @@ def nu_residue_m8(spec: ManifoldSpec, order: int = 48, reduced: str | bool = "au
     surf = spec.surface()
     if surf.m != 4 or surf.codim != 1:
         raise NumericError("nu_residue_m8 needs a closed 4-D hypersurface")
-    modified = frame_integral(spec, local_r8_nu_modified, order=order, max_order=3,
-                              reduced=reduced)
-    raw = frame_integral(spec, local_r8_nu_raw, order=order, max_order=4, reduced=reduced)
+    modified, raw = frame_integral(
+        spec, lambda fr: (local_r8_nu_modified(fr), local_r8_nu_raw(fr)),
+        order=order, max_order=4, reduced=reduced)
     return {"modified": modified, "raw": raw, "spread": abs(modified - raw)}
 
 
@@ -390,8 +400,8 @@ def lk_curvatures(body: ManifoldSpec, order: int = 32) -> list[float]:
     if not body.is_body:
         raise NumericError("lk_curvatures needs a body")
     n = body.n
-    s_ints = [frame_integral(body, lambda fr, k=k: float(_elementary_symmetric(fr.kappa)[k]),
-                             order=order, max_order=2) for k in range(n)]
+    s_ints = frame_integral(body, lambda fr: _elementary_symmetric(fr.kappa)[:n],
+                            order=order, max_order=2)
     out = []
     for k in range(n):
         out.append((-1.0) ** (n - 1 - k) / ((n - k) * ball_volume(n - k)) * s_ints[n - 1 - k])
@@ -433,10 +443,10 @@ def weyl_tube_k2(spec: ManifoldSpec, order: int = 32) -> dict:
     """Second Weyl tube coefficient (1/2) int Sc, direct and residue paths."""
     surf = spec.surface()
     m = surf.m
-    direct = 0.5 * frame_integral(spec, lambda fr: fr.scalar_curvature,
-                                  order=order, max_order=2)
-    r_nu = frame_integral(spec, local_residue_m2_nu, order=order, max_order=2)
-    r_one = frame_integral(spec, local_residue_m2, order=order, max_order=2)
+    sc, r_nu, r_one = frame_integral(
+        spec, lambda fr: (fr.scalar_curvature, local_residue_m2_nu(fr), local_residue_m2(fr)),
+        order=order, max_order=2)
+    direct = 0.5 * sc
     residue_path = -(m / sphere_volume(m - 1)) * (r_nu + 3.0 * r_one)
     return {"direct": direct, "residues": residue_path}
 

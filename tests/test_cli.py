@@ -121,3 +121,20 @@ def test_beta_report_format(tmp_path, capsys):
                          "--format", "report"], capsys)
     assert code == 0
     assert out.splitlines()[0].startswith("beta[1] ")
+
+
+def test_bad_workers_env_is_config_error(monkeypatch, capsys):
+    monkeypatch.setenv("RESIDUE_LAB_WORKERS", "abc")
+    code = cli.main(["--cmd", "beta", "--shape", '{"kind": "circle"}', "--z", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config error" in captured.err and "RESIDUE_LAB_WORKERS" in captured.err
+    # an explicit --workers overrides the environment
+    assert cli.main(["--cmd", "beta", "--shape", '{"kind": "circle"}', "--z", "1",
+                     "--workers", "1"]) == 0
+
+
+def test_patches_key_is_rejected(tmp_path, capsys):
+    cfg = shape_file(tmp_path, {"kind": "circle", "params": {"r": 1.0}, "patches": 2})
+    assert cli.main(["--cmd", "beta", "--shape", cfg]) == 2
+    assert "unknown shape config keys: ['patches']" in capsys.readouterr().err

@@ -7,6 +7,7 @@ import residue_lab.conformal as CF
 import residue_lab.manifold as M
 import residue_lab.oracles as O
 from residue_lab._util import NumericError
+from residue_lab.manifold.frames import curvature_frame
 
 
 def test_weyl_two_forms_agree():
@@ -44,11 +45,23 @@ def test_graham_witten_sphere_and_spheroids():
             O.spheroid_gw(a), rel=1e-9)
 
 
-def test_gw_gradient_paths_agree():
+def test_grad_h_sq_matches_finite_differences():
+    # exact graph-f3 |grad H|^2 against central differences of H in parameter space
     sp = M.spheroid(math.sqrt(2))
-    gi = CF.graham_witten(sp, order=40, gradient_path="intrinsic")
-    gg = CF.graham_witten(sp, order=40, gradient_path="graph")
-    assert gi == pytest.approx(gg, rel=1e-8)
+    for t in (0.3, 0.7, 1.1, 1.9, 2.5, 2.9):
+        u = np.array([t, 1.0, 1.3, 0.7])
+        exact = curvature_frame(sp, u, max_order=3).grad_H_sq()
+        fd = CF._grad_h_sq_intrinsic(sp, 0, u)
+        assert exact == pytest.approx(fd, rel=1e-8)
+
+
+def test_graham_witten_generic_ellipsoid_scale_invariant():
+    # no rotation symmetry: the full 4-parameter grid, exact jets throughout
+    el = M.ellipsoid((1.0, 1.2, 0.9, 1.1, 1.3))
+    gw = CF.graham_witten(el, order=6, reduced=False)
+    gw2 = CF.graham_witten(M.scaled(el, 2.0), order=6, reduced=False)
+    assert math.isfinite(gw)
+    assert gw2 == pytest.approx(gw, rel=1e-10)
 
 
 def test_energy_breakdown_identity():

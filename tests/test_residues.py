@@ -43,9 +43,9 @@ def test_relative_residues_ball3():
     assert rep.value(-3) == pytest.approx(8 * math.pi ** 2, rel=1e-12)
     assert rep.value(-4) == pytest.approx(-4 * math.pi ** 2, rel=1e-12)
     # difference field vanishes identically on round spheres (H constant)
-    diff = rep.metadata["difference_field"]
+    assert rep.metadata["difference_field"] == "relative_difference_density"
     fr = curvature_frame(M.sphere(2, 1.0), [0.8, 0.3], max_order=4)
-    assert diff(fr) == pytest.approx(0.0, abs=1e-12)
+    assert R.relative_difference_density(fr, 3) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_residue_report_serialization():
@@ -54,6 +54,27 @@ def test_residue_report_serialization():
     assert text.startswith("RESIDUE-REPORT 1")
     assert "residue -3 " in text
     assert text == R.body_residues(M.ball(3, 1.0), order=16).to_text()
+    rel = R.relative_residues(M.ball(3, 1.0), order=16).to_text()
+    assert "0x" not in rel
+    assert rel == R.relative_residues(M.ball(3, 1.0), order=16).to_text()
+
+
+def test_vector_integrand_matches_scalar_calls():
+    fns = (lambda fr: fr.H, lambda fr: fr.hs_norm_sq, lambda fr: fr.scalar_curvature)
+    cases = ((M.torus(2.0, 1.0), 12, 2, "auto"),            # patch grid
+             (M.spheroid(1.7), 16, 3, "auto"),              # reduced line
+             (M.spheroid(1.7), 3, 2, False))                # 4-parameter grid
+    for spec, order, max_order, reduced in cases:
+        vec = R.frame_integral(spec, lambda fr: [f(fr) for f in fns], order=order,
+                               max_order=max_order, reduced=reduced)
+        tup = R.frame_integral(spec, lambda fr: tuple(f(fr) for f in fns), order=order,
+                               max_order=max_order, reduced=reduced)
+        assert vec.shape == (3,)
+        for k, f in enumerate(fns):
+            one = R.frame_integral(spec, f, order=order, max_order=max_order,
+                                   reduced=reduced)
+            assert isinstance(one, float)
+            assert vec[k] == one and tup[k] == one
 
 
 def test_m8_requires_four_dim():
