@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -34,9 +35,12 @@ def _parse_shape(arg: str) -> shapes.ManifoldSpec:
 
 def _parse_zlist(arg: str) -> list[float]:
     try:
-        return [float(tok) for tok in arg.split(",") if tok.strip()]
+        zs = [float(tok) for tok in arg.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --z list {arg!r}: {exc}") from exc
+    if not all(math.isfinite(z) for z in zs):
+        raise ConfigError(f"bad --z list {arg!r}: evaluation points must be finite")
+    return zs
 
 
 def _parse_sweep(arg: str) -> np.ndarray:

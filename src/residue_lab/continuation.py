@@ -267,31 +267,64 @@ def _bbox_diameter(x: np.ndarray) -> float:
     return float(np.linalg.norm(span))
 
 
+def _uniform_cell(edges, d):
+    """``clip(searchsorted(edges, d, "right") - 1, 0, ncell - 1)`` for uniform edges.
+
+    The arithmetic index floor((d - e0) / h) is off by at most one next to an
+    edge, so one comparison against edges[c] and edges[c + 1] makes it exact.
+    """
+    ncell = len(edges) - 1
+    c = (d - edges[0]) / ((edges[-1] - edges[0]) / ncell)
+    np.floor(c, out=c)
+    np.clip(c, 0, ncell - 1, out=c)
+    c = c.astype(np.intp)
+    c -= (edges[c] > d) & (c > 0)
+    c += (edges[c + 1] <= d) & (c < ncell - 1)
+    return c
+
+
+def _bin_moments(edges, d, w):
+    """(sum w, sum w d, sum w d^2) per tail cell, each summed in input order.
+
+    Overwrites ``w``.
+    """
+    ncell = len(edges) - 1
+    cell = _uniform_cell(edges, d)
+    out = np.empty((3, ncell))
+    out[0] = np.bincount(cell, w, ncell)
+    w *= d
+    out[1] = np.bincount(cell, w, ncell)
+    w *= d
+    out[2] = np.bincount(cell, w, ncell)
+    return out
+
+
 def _tail_moments(x, wq, nus, weight, delta, edges, workers=None, custom=None):
     """Accumulate (sum w, sum w d, sum w d^2) per tail cell over ordered pairs d >= delta."""
     N = x.shape[0]
-    ncell = len(edges) - 1
+    # the chunk size fixes the summation order of the result
     chunk_size = max(1, min(512, N))
     chunks = [np.arange(s, min(s + chunk_size, N)) for s in range(0, N, chunk_size)]
 
     def work(idx):
         xs = x[idx]
-        nx = None if nus is None else nus[idx]
-        d = np.sqrt(np.maximum(((xs[:, None, :] - x[None, :, :]) ** 2).sum(axis=2), 0.0))
-        lam = _pair_weight(weight, xs, nx, x, nus, custom=custom)
-        wmat = wq[idx][:, None] * wq[None, :] * lam
-        # drop the diagonal and the near zone
-        for r, gi in enumerate(idx):
-            d[r, gi] = -1.0
-        sel = d >= delta
+        # per-coordinate squares: the same left-to-right sum as a reduction
+        # over the short coordinate axis, without the (chunk, N, n) temporary
+        d = (xs[:, None, 0] - x[None, :, 0]) ** 2
+        for k in range(1, x.shape[1]):
+            d += (xs[:, None, k] - x[None, :, k]) ** 2
+        np.sqrt(np.maximum(d, 0.0, out=d), out=d)
+        d[np.arange(len(idx)), idx] = -1.0      # drop the diagonal
+        wmat = wq[idx][:, None] * wq[None, :]
+        if weight is not WeightKind.ONE:
+            nx = None if nus is None else nus[idx]
+            wmat *= _pair_weight(weight, xs, nx, x, nus, custom=custom)
+        sel = d >= delta                        # and the near zone
         dv = d[sel]
+        del d
         wv = wmat[sel]
-        cell = np.clip(np.searchsorted(edges, dv, side="right") - 1, 0, ncell - 1)
-        out = np.zeros((3, ncell))
-        np.add.at(out[0], cell, wv)
-        np.add.at(out[1], cell, wv * dv)
-        np.add.at(out[2], cell, wv * dv * dv)
-        return out
+        del wmat
+        return _bin_moments(edges, dv, wv)
 
     acc = chunked_map_reduce(work, chunks, workers=workers)
     return acc[0], acc[1], acc[2]
@@ -313,23 +346,21 @@ def _tail_moments_curve(surf, weight, delta, edges, order, custom):
     u0s, wp = patch_grid(patch, order)
     sg = volume_element(patch, u0s)
     wq = wp * sg
-    ncell = len(edges) - 1
-    out = np.zeros((3, ncell))
+    x0s = patch.chart(u0s)
+    nu0s = (patch.normal(u0s)
+            if (_needs_normals(weight) and patch.normal is not None) else None)
+    # the two crossings of d = delta around every node
+    s_los = _curve_cross(patch, u0s, x0s, delta, period, +1.0)
+    s_his = _curve_cross(patch, u0s, x0s, delta, period, -1.0)
     gx, gw = gauss_rule(8)
     gx = 0.5 * (gx + 1.0)
     gw = 0.5 * gw
     n_inner = 220
-    for u0, wx in zip(u0s, wq):
-        x0 = patch.chart(u0[None, :])[0]
-        nu0 = (patch.normal(u0[None, :])[0]
-               if (_needs_normals(weight) and patch.normal is not None) else None)
-        # bracket the two crossings of d = delta around the node
-        s_lo = _curve_cross(patch, u0, x0, delta, period, +1.0)
-        s_hi = _curve_cross(patch, u0, x0, delta, period, -1.0)
-        # inner domain: u0 + [s_lo, period - s_hi] (wrapping forward)
+    ds, ws = [], []
+    for i, (u0, wx, x0, s_lo, s_hi) in enumerate(zip(u0s, wq, x0s, s_los, s_his)):
+        # inner domain: u0 + [s_lo, period - s_hi] (wrapping forward); each
+        # crossing lies below half the period, so the domain is never empty
         length = (period - s_hi) - s_lo
-        if length <= 0:
-            continue
         seg_edges = u0[0] + s_lo + length * np.arange(n_inner + 1) / n_inner
         mids = seg_edges[:-1, None] + np.diff(seg_edges)[:, None] * gx[None, :]
         flat = mids.reshape(-1, 1)
@@ -340,37 +371,48 @@ def _tail_moments_curve(surf, weight, delta, edges, order, custom):
         if weight is not WeightKind.ONE:
             nuy = patch.normal(flat) if patch.normal is not None else None
             lam = _pair_weight(weight, x0[None, :],
-                               None if nu0 is None else nu0[None, :],
+                               None if nu0s is None else nu0s[i:i + 1],
                                y, nuy, custom=custom)[0]
         wseg = (np.diff(seg_edges)[:, None] * gw[None, :]).reshape(-1)
-        wtot = wx * wseg * sgv * lam
-        cell = np.clip(np.searchsorted(edges, d, side="right") - 1, 0, ncell - 1)
-        np.add.at(out[0], cell, wtot)
-        np.add.at(out[1], cell, wtot * d)
-        np.add.at(out[2], cell, wtot * d * d)
+        ds.append(d)
+        ws.append(wx * wseg * sgv * lam)
+    # one pass over all rows in node order: the sums of per-node binning
+    out = _bin_moments(edges, np.concatenate(ds), np.concatenate(ws))
     return out[0], out[1], out[2]
 
 
-def _curve_cross(patch, u0, x0, delta, period, direction):
-    """Arc offset s > 0 with |chart(u0 + direction * s) - x0| = delta."""
-    lo, hi = 0.0, period / 64.0
-    for _ in range(80):
-        d = float(np.linalg.norm(patch.chart(
-            np.array([[u0[0] + direction * hi]])) - x0[None, :]))
-        if d >= delta:
+def _curve_cross(patch, u0s, x0s, delta, period, direction):
+    """Arc offsets s > 0 with |chart(u0 + direction * s) - x0| = delta, per node.
+
+    The bracket grows by 1.5x, only for nodes still short of delta, up to
+    half the period; a node short of delta there has no crossing and raises.
+    Then 60 bisection steps on all nodes at once.
+    """
+    u = u0s[:, 0]
+
+    def dist(rows, s):
+        r = patch.chart((u[rows] + direction * s)[:, None]) - x0s[rows]
+        # row-by-row dot products: bit-identical to the norm of each row alone
+        return np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
+
+    half = 0.5 * period
+    lo = np.zeros(len(u))
+    hi = np.full(len(u), period / 64.0)
+    short = np.arange(len(u))
+    while True:
+        short = short[dist(short, hi[short]) < delta]
+        if short.size == 0:
             break
-        hi *= 1.5
-        if hi > 0.5 * period:
-            hi = 0.5 * period
-            break
+        if np.any(hi[short] >= half):
+            raise NumericError(
+                f"no chord of length delta={delta:.4g} within half a period of "
+                f"a curve node; reduce delta")
+        hi[short] = np.minimum(1.5 * hi[short], half)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        d = float(np.linalg.norm(patch.chart(
-            np.array([[u0[0] + direction * mid]])) - x0[None, :]))
-        if d < delta:
-            lo = mid
-        else:
-            hi = mid
+        less = dist(slice(None), mid) < delta
+        lo = np.where(less, mid, lo)
+        hi = np.where(less, hi, mid)
     return 0.5 * (lo + hi)
 
 
@@ -533,8 +575,10 @@ def _cap_masses_implicit(surf, x0, weight, t_grid, dirw, gx, gw, custom, n_ang):
             step = val / np.where(np.abs(slope) < 1e-300, 1e-300, slope)
             f = f - step
             if np.max(np.abs(step)) < 1e-14:
-                break
-        return f, base + f[:, None] * nu[None, :]
+                return f, base + f[:, None] * nu[None, :]
+        raise NumericError(
+            f"graph Newton around a cap center did not converge in 60 steps "
+            f"(last step {np.max(np.abs(step)):.3g})")
 
     rho = tt.copy()
     dd = np.repeat(dirs, nt, axis=0)
@@ -546,6 +590,10 @@ def _cap_masses_implicit(surf, x0, weight, t_grid, dirw, gx, gw, custom, n_ang):
         rho = rho * ratio
         if np.max(np.abs(ratio - 1.0)) < 5e-14:
             break
+    else:
+        raise NumericError(
+            f"cap radius fixed point did not converge in 60 steps "
+            f"(last ratio error {np.max(np.abs(ratio - 1.0)):.3g})")
     rr = rho[:, :, None] * gx[None, None, :]
     S = rr.reshape(-1, 1) * np.repeat(dirs, nt * len(gx), axis=0)
     f, y = graph_f(S)
@@ -616,10 +664,7 @@ def _exact_profile(spec, weight, delta, fit_degree) -> DistanceProfile:
     ncoef = fit_degree if fit_degree is not None else m // 2 + 5
     nbin = max(3 * ncoef, 18)
     edges = delta * np.arange(nbin + 1) / nbin
-    masses = np.empty(nbin)
-    for k in range(nbin):
-        ts, ws = gauss_on(edges[k], edges[k + 1], 24)
-        masses[k] = float(np.dot(ws, lam(ts) * base(ts)))
+    masses = _cell_gauss(edges, 24, lambda ts: (lam(ts) * base(ts),))[0]
     coeffs, expo, resid, cond, errs = _fit_even_model(m, edges, masses, ncoef, delta)
     tail_edges, tw, twd, twd2 = _exact_tail_cells(m, r, vol, lam, base, delta)
 
@@ -652,18 +697,31 @@ def _exact_tail_cells(m, r, vol, lam, base, delta, ncell: int = 2048):
     from .oracles import sphere_volume
     o = sphere_volume(m - 1)
     edges = delta + (2.0 * r - delta) * np.arange(ncell + 1) / ncell
-    w = np.empty(ncell)
-    wd = np.empty(ncell)
-    wd2 = np.empty(ncell)
     phis = np.arcsin(np.clip(edges / (2.0 * r), 0.0, 1.0))
-    for k in range(ncell):
-        ph, wp = gauss_on(phis[k], phis[k + 1], 6)
+
+    def moments(ph):
         t = 2.0 * r * np.sin(ph)
-        dens_dphi = vol * o * lam(t) * t ** (m - 1) * np.cos(ph) ** (m - 1) * 2.0 * r
-        w[k] = float(np.dot(wp, dens_dphi))
-        wd[k] = float(np.dot(wp, dens_dphi * t))
-        wd2[k] = float(np.dot(wp, dens_dphi * t * t))
+        return _moments(t, vol * o * lam(t) * t ** (m - 1) * np.cos(ph) ** (m - 1) * 2.0 * r)
+
+    w, wd, wd2 = _cell_gauss(phis, 6, moments)
     return edges, w, wd, wd2
+
+
+def _moments(t, dens):
+    return dens, dens * t, dens * t * t
+
+
+def _cell_gauss(edges, npts, integrand):
+    """Gauss sums over every cell [edges[k], edges[k + 1]] of each array that
+    ``integrand`` returns for the (ncell, npts) node array: shape (q, ncell).
+
+    The batched row-by-row product is bit-identical to one np.dot per cell.
+    """
+    x, w = gauss_rule(npts)
+    a, b = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (b - a)
+    vals = np.stack(integrand(0.5 * (a + b) + half * x))
+    return ((half * w)[:, None, :] @ vals[..., None])[..., 0, 0]
 
 
 def _geodesic_profile(spec, delta, fit_degree) -> DistanceProfile:
@@ -683,23 +741,13 @@ def _geodesic_profile(spec, delta, fit_degree) -> DistanceProfile:
     ncoef = fit_degree if fit_degree is not None else m // 2 + 5
     nbin = max(3 * ncoef, 18)
     edges = delta * np.arange(nbin + 1) / nbin
-    masses = np.empty(nbin)
-    for k in range(nbin):
-        ts, ws = gauss_on(edges[k], edges[k + 1], 24)
-        masses[k] = float(np.dot(ws, density(ts))) / vol
+    masses = _cell_gauss(edges, 24, lambda ts: (density(ts),))[0] / vol
     coeffs, expo, resid, cond, errs = _fit_even_model(m, edges, masses, ncoef, delta)
     diam = math.pi * r
     ncell = 2048
     tedges = delta + (diam - delta) * np.arange(ncell + 1) / ncell
-    tw = np.empty(ncell)
-    twd = np.empty(ncell)
-    twd2 = np.empty(ncell)
-    for k in range(ncell):
-        ts, ws = gauss_on(tedges[k], tedges[k + 1], 6)
-        dens = density(ts)
-        tw[k] = float(np.dot(ws, dens))
-        twd[k] = float(np.dot(ws, dens * ts))
-        twd2[k] = float(np.dot(ws, dens * ts * ts))
+    tw, twd, twd2 = _cell_gauss(tedges, 6, lambda ts: _moments(ts, density(ts)))
+
     def tail_quad(z, _d0=float(delta), _d1=diam):
         ph, wp = gauss_on(_d0, _d1, 200)
         return complex(np.sum(wp * ph ** complex(z) * density(ph)))
@@ -772,10 +820,7 @@ def evenness_diagnostic(spec: ManifoldSpec, profile: DistanceProfile,
         base = _round_chord_density(m, r)
         nbin = max(3 * ncoef, 18)
         edges = profile.delta * np.arange(nbin + 1) / nbin
-        masses = np.empty(nbin)
-        for k in range(nbin):
-            ts, ws = gauss_on(edges[k], edges[k + 1], 24)
-            masses[k] = profile.vol * float(np.dot(ws, lam(ts) * base(ts)))
+        masses = profile.vol * _cell_gauss(edges, 24, lambda ts: (lam(ts) * base(ts),))[0]
     else:
         nbin = max(3 * (2 * ncoef) + 4, 24)
         t_grid = profile.delta * np.arange(1, nbin + 1) / nbin

@@ -7,6 +7,7 @@ body/boundary structure. All other modules consume only this type.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -238,7 +239,8 @@ def torus(R: float = 2.0, r: float = 1.0) -> ManifoldSpec:
 
     def gradient(x, _R=R, _r=r):
         x = np.atleast_2d(x)
-        s = (x ** 2).sum(axis=1) + _R ** 2 - _r ** 2
+        # per-coordinate squares: the same left-to-right sum as (x ** 2).sum(axis=1)
+        s = x[:, 0] ** 2 + x[:, 1] ** 2 + x[:, 2] ** 2 + _R ** 2 - _r ** 2
         g = 4.0 * s[:, None] * x
         g[:, 0] -= 8.0 * _R ** 2 * x[:, 0]
         g[:, 1] -= 8.0 * _R ** 2 * x[:, 1]
@@ -257,7 +259,7 @@ def torus(R: float = 2.0, r: float = 1.0) -> ManifoldSpec:
 
     def fvalue(x, _R=R, _r=r):
         x = np.atleast_2d(x)
-        sq = (x ** 2).sum(axis=1) + _R ** 2 - _r ** 2
+        sq = x[:, 0] ** 2 + x[:, 1] ** 2 + x[:, 2] ** 2 + _R ** 2 - _r ** 2
         return sq ** 2 - 4.0 * _R ** 2 * (x[:, 0] ** 2 + x[:, 1] ** 2)
 
     def jacobian(u, _R=R, _r=r):
@@ -429,8 +431,32 @@ def from_config(doc) -> ManifoldSpec:
         raise ConfigError(f"unknown params for {kind}: {sorted(bad)}")
     if doc.get("orientation", "outward") != "outward":
         raise ConfigError("only outward orientation is supported")
-    args = [params[a] for a in argnames if a in params]
-    return fn(*args)
+    for name, value in params.items():
+        _check_param(kind, name, value)
+    try:
+        inspect.signature(fn).bind(**params)
+    except TypeError as exc:
+        raise ConfigError(f"bad params for {kind}: {exc}") from None
+    return fn(**params)
+
+
+def _check_param(kind: str, name: str, value) -> None:
+    """Dimensions m, n are integers; every other param is a finite number or a list of them."""
+    if name in ("m", "n"):
+        ok, what = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif name in ("semiaxes", "vertices"):
+        try:
+            arr = np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            arr = np.array(math.nan)
+        ok = arr.ndim == (1 if name == "semiaxes" else 2) and bool(np.all(np.isfinite(arr)))
+        what = "a list of finite numbers" if name == "semiaxes" else "a list of 3-vectors"
+    else:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and math.isfinite(value))
+        what = "a finite number"
+    if not ok:
+        raise ConfigError(f"{kind} param {name!r} must be {what}, got {value!r}")
 
 
 def load_config(path: str) -> ManifoldSpec:

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from residue_lab import cli, oracles
+from residue_lab.manifold import shapes
 
 
 def run_cli(args, capsys):
@@ -138,3 +139,36 @@ def test_patches_key_is_rejected(tmp_path, capsys):
     cfg = shape_file(tmp_path, {"kind": "circle", "params": {"r": 1.0}, "patches": 2})
     assert cli.main(["--cmd", "beta", "--shape", cfg]) == 2
     assert "unknown shape config keys: ['patches']" in capsys.readouterr().err
+
+
+def test_shape_params_pass_by_keyword(capsys):
+    # a subset of params keeps its names: r alone is the torus minor radius
+    base = ["--cmd", "residues", "--order", "16", "--shape"]
+    code, out = run_cli(base + ['{"kind": "torus", "params": {"r": 0.5}}'], capsys)
+    assert code == 0
+    assert run_cli(base + ['{"kind": "torus", "params": {"R": 2.0, "r": 0.5}}'],
+                   capsys) == (0, out)
+    # the CLI output is symmetric in r1, r2, so the spec is checked directly
+    spec = shapes.from_config({"kind": "clifford_torus", "params": {"r2": 2}})
+    assert spec.params == {"r1": 1.0, "r2": 2.0}
+
+
+@pytest.mark.parametrize("shape", [
+    '{"kind": "sphere", "params": {"r": 2}}',
+    '{"kind": "ellipsoid"}',
+    '{"kind": "circle", "params": {"r": "abc"}}',
+    '{"kind": "circle", "params": {"r": 1e400}}',
+    '{"kind": "sphere", "params": {"m": 2.5}}',
+    '{"kind": "ellipsoid", "params": {"semiaxes": ["a", 1, 1]}}',
+])
+def test_bad_shape_params_are_config_errors(shape, capsys):
+    code = cli.main(["--cmd", "beta", "--shape", shape, "--z", "1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("z", ["nan", "inf", "1,-inf"])
+def test_nonfinite_z_is_config_error(z, capsys):
+    code = cli.main(["--cmd", "beta", "--shape", '{"kind": "circle"}', "--z", z])
+    assert code == 2
+    assert "must be finite" in capsys.readouterr().err

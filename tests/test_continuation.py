@@ -301,3 +301,164 @@ def test_worker_count_bit_stable(ellipse_spec):
     p4 = cont.distance_profile(ellipse_spec, workers=4)
     assert p1.to_text() == p4.to_text()
     assert np.array_equal(p1.tail_w, p4.tail_w)
+    # curves bypass the pair accumulator; 576 torus nodes make two chunks
+    torus = M.torus(2.0, 1.0)
+    t1 = cont.distance_profile(torus, order=24, workers=1)
+    t2 = cont.distance_profile(torus, order=24, workers=2)
+    assert t1.to_text() == t2.to_text()
+
+
+# --- hot loops against their reference loops ------------------------------------
+
+def test_uniform_cell_matches_searchsorted():
+    rng = np.random.default_rng(3)
+    for delta, diam in ((0.2, 6.0), (0.0414, 2.0), (0.1, 3.3)):
+        edges = delta + (diam - delta) * np.arange(4097) / 4096
+        d = np.concatenate([rng.uniform(delta - 0.05, diam + 0.05, 200000), edges,
+                            np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+        ref = np.clip(np.searchsorted(edges, d, side="right") - 1, 0, 4095)
+        assert np.array_equal(cont._uniform_cell(edges, d), ref)
+
+
+def _curve_cross_loop(patch, u0, x0, delta, period, direction):
+    """The one-node bracket-and-bisect that the vector solve replaced."""
+    lo, hi = 0.0, period / 64.0
+    for _ in range(80):
+        d = float(np.linalg.norm(patch.chart(
+            np.array([[u0[0] + direction * hi]])) - x0[None, :]))
+        if d >= delta:
+            break
+        hi *= 1.5
+        if hi > 0.5 * period:
+            hi = 0.5 * period
+            break
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        d = float(np.linalg.norm(patch.chart(
+            np.array([[u0[0] + direction * mid]])) - x0[None, :]))
+        if d < delta:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_curve_cross_matches_scalar_loop(ellipse_spec):
+    from residue_lab.manifold.quadrature import patch_grid
+    patch = ellipse_spec.patches[0]
+    u0s, _ = patch_grid(patch, 128)
+    x0s = patch.chart(u0s)
+    period, delta = 2.0 * math.pi, 0.2 * M.reach_estimate(ellipse_spec)
+    for direction in (1.0, -1.0):
+        ref = [_curve_cross_loop(patch, u0, patch.chart(u0[None, :])[0], delta,
+                                 period, direction) for u0 in u0s]
+        got = cont._curve_cross(patch, u0s, x0s, delta, period, direction)
+        assert np.array_equal(got, ref)
+
+
+def test_curve_cross_without_crossing_raises():
+    patch = M.circle(1.0).patches[0]
+    u0s = np.array([[0.0], [1.0]])
+    with pytest.raises(NumericError, match="half a period"):
+        cont._curve_cross(patch, u0s, patch.chart(u0s), 2.5, 2.0 * math.pi, 1.0)
+
+
+def _tail_moments_reference(x, wq, nus, weight, delta, edges):
+    """The chunked pair sum with searchsorted binning and np.add.at."""
+    from residue_lab._util import chunked_map_reduce
+    N, ncell = x.shape[0], len(edges) - 1
+    chunks = [np.arange(s, min(s + 512, N)) for s in range(0, N, 512)]
+
+    def work(idx):
+        xs = x[idx]
+        nx = None if nus is None else nus[idx]
+        d = np.sqrt(np.maximum(((xs[:, None, :] - x[None, :, :]) ** 2).sum(axis=2), 0.0))
+        lam = cont._pair_weight(weight, xs, nx, x, nus)
+        wmat = wq[idx][:, None] * wq[None, :] * lam
+        for r, gi in enumerate(idx):
+            d[r, gi] = -1.0
+        sel = d >= delta
+        dv, wv = d[sel], wmat[sel]
+        cell = np.clip(np.searchsorted(edges, dv, side="right") - 1, 0, ncell - 1)
+        out = np.zeros((3, ncell))
+        np.add.at(out[0], cell, wv)
+        np.add.at(out[1], cell, wv * dv)
+        np.add.at(out[2], cell, wv * dv * dv)
+        return out
+
+    return chunked_map_reduce(work, chunks, workers=1)
+
+
+def test_tail_moments_match_reference(torus_spec):
+    from residue_lab.manifold.quadrature import sample_quadrature
+    nodes = sample_quadrature(torus_spec, 24, with_normals=True)
+    edges = 0.2 + (6.0 - 0.2) * np.arange(4097) / 4096
+    for weight in (WeightKind.ONE, WeightKind.NU):
+        ref = _tail_moments_reference(nodes.x, nodes.w, nodes.nu, weight, 0.2, edges)
+        got = cont._tail_moments(nodes.x, nodes.w, nodes.nu, weight, 0.2, edges,
+                                 workers=1)
+        for k in range(3):
+            assert np.array_equal(got[k], ref[k])
+
+
+def test_exact_tail_cells_match_per_cell_dot():
+    from residue_lab.manifold.quadrature import gauss_on
+    m, r, delta = 2, 1.3, 0.26
+    vol = cont._round_chord_sphere_volume(m, r)
+    lam = cont._round_weight_factor(WeightKind.NU, r)
+    base = cont._round_chord_density(m, r)
+    edges, w, wd, wd2 = cont._exact_tail_cells(m, r, vol, lam, base, delta, ncell=256)
+    phis = np.arcsin(np.clip(edges / (2.0 * r), 0.0, 1.0))
+    o = O.sphere_volume(m - 1)
+    for k in range(256):
+        ph, wp = gauss_on(phis[k], phis[k + 1], 6)
+        t = 2.0 * r * np.sin(ph)
+        dens = vol * o * lam(t) * t ** (m - 1) * np.cos(ph) ** (m - 1) * 2.0 * r
+        assert (w[k], wd[k], wd2[k]) == (float(np.dot(wp, dens)),
+                                         float(np.dot(wp, dens * t)),
+                                         float(np.dot(wp, dens * t * t)))
+
+
+# --- convergence checks ---------------------------------------------------------
+
+def _paraboloid(c, slope_scale=1.0):
+    """z = c |s|^2 in R^3 as a bare implicit spec; a wrong slope on request."""
+    from residue_lab.manifold.shapes import ImplicitPoly, ManifoldSpec
+
+    def value(y):
+        return c * (y[:, 0] ** 2 + y[:, 1] ** 2) - y[:, 2]
+
+    def gradient(y):
+        y = np.atleast_2d(y)
+        return slope_scale * np.stack([2 * c * y[:, 0], 2 * c * y[:, 1],
+                                       -np.ones(len(y))], axis=1)
+
+    return ManifoldSpec(kind="paraboloid", m=2, n=3, patches=(),
+                        implicit=ImplicitPoly(gradient=gradient, ring=None, value=value))
+
+
+def _cap(surf, t_grid):
+    from residue_lab.manifold.quadrature import gauss_rule
+    gx, gw = gauss_rule(12)
+    dirs, dirw = cont._direction_set(2, 32)
+    return cont._cap_masses_implicit(surf, np.zeros(3), WeightKind.ONE, t_grid, dirw,
+                                     0.5 * (gx + 1.0), 0.5 * gw, None, 32)
+
+
+def test_cap_masses_converge_on_a_paraboloid():
+    # one Newton step is exact; the cap area is pi t^2 + O(c^4 t^6)
+    t = np.array([0.05, 0.1])
+    assert _cap(_paraboloid(0.1), t) == pytest.approx(math.pi * t ** 2, rel=1e-6)
+
+
+def test_cap_graph_newton_nonconvergence_raises():
+    # a slope ten times too steep makes the Newton iteration contract by 0.9
+    with pytest.raises(NumericError, match="graph Newton"):
+        _cap(_paraboloid(0.1, slope_scale=10.0), np.array([0.05, 0.1]))
+
+
+def test_cap_radius_fixed_point_nonconvergence_raises():
+    # t much larger than the curvature radius 1/(2c): the fixed point
+    # contracts by about -c^2 rho^2 / (1 + c^2 rho^2), close to -1
+    with pytest.raises(NumericError, match="fixed point"):
+        _cap(_paraboloid(100.0), np.array([1.0]))
