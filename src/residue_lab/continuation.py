@@ -565,35 +565,45 @@ def _cap_masses_implicit(surf, x0, weight, t_grid, dirw, gx, gw, custom, n_ang):
     nd, nt = len(dirs), len(t_grid)
     tt = np.broadcast_to(np.asarray(t_grid)[None, :], (nd, nt))
 
+    # Both loops stop below a fixed tolerance, or once their steps stop
+    # shrinking at the rounding floor, which grows with the size of the
+    # shape (the torus quartic's terms are ~R^4 against |grad F| ~ 8 R^2 r).
     def graph_f(S):
         base = x0[None, :] + S @ E
         f = np.zeros(S.shape[0])
+        last = math.inf
         for _ in range(60):
             y = base + f[:, None] * nu[None, :]
             val = imp.value(y)
             slope = imp.gradient(y) @ nu
             step = val / np.where(np.abs(slope) < 1e-300, 1e-300, slope)
             f = f - step
-            if np.max(np.abs(step)) < 1e-14:
+            smax = np.max(np.abs(step))
+            if smax < 1e-14 or (smax >= last
+                                and smax < 1e-10 * max(1.0, np.max(np.abs(base)))):
                 return f, base + f[:, None] * nu[None, :]
+            last = smax
         raise NumericError(
             f"graph Newton around a cap center did not converge in 60 steps "
-            f"(last step {np.max(np.abs(step)):.3g})")
+            f"(last step {smax:.3g})")
 
     rho = tt.copy()
     dd = np.repeat(dirs, nt, axis=0)
+    last = math.inf
     for _ in range(60):
         S = rho.reshape(-1, 1) * dd
         f, y = graph_f(S)
         d = np.sqrt((rho.reshape(-1) ** 2 + f ** 2)).reshape(nd, nt)
         ratio = tt / np.maximum(d, 1e-300)
         rho = rho * ratio
-        if np.max(np.abs(ratio - 1.0)) < 5e-14:
+        err = np.max(np.abs(ratio - 1.0))
+        if err < 5e-14 or (err >= last and err < 1e-10):
             break
+        last = err
     else:
         raise NumericError(
             f"cap radius fixed point did not converge in 60 steps "
-            f"(last ratio error {np.max(np.abs(ratio - 1.0)):.3g})")
+            f"(last ratio error {err:.3g})")
     rr = rho[:, :, None] * gx[None, None, :]
     S = rr.reshape(-1, 1) * np.repeat(dirs, nt * len(gx), axis=0)
     f, y = graph_f(S)

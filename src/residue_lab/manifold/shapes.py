@@ -398,17 +398,46 @@ def parallel_body(body: ManifoldSpec, eps: float) -> ManifoldSpec:
 # text configuration
 # ---------------------------------------------------------------------------
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _is_integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _finite_array(ncols):
+    """A list of finite numbers (ncols None) or of finite ncols-vectors."""
+    def check(v):
+        try:
+            arr = np.asarray(v, dtype=float)
+        except (TypeError, ValueError):
+            return False
+        if ncols is None:
+            shape_ok = arr.ndim == 1
+        else:
+            shape_ok = arr.ndim == 2 and arr.shape[1] == ncols
+        return shape_ok and bool(np.all(np.isfinite(arr)))
+    return check
+
+
+_NUMBER = (_is_number, "a finite number")
+_INTEGER = (_is_integer, "an integer")
+_NUMBERS = (_finite_array(None), "a list of finite numbers")
+_POINTS3 = (_finite_array(3), "a list of 3-vectors")
+
+# kind -> (builder, {param: (check, description)})
 _BUILTINS = {
-    "circle": (circle, ("r",)),
-    "ellipse": (ellipse, ("a", "b")),
-    "sphere": (sphere, ("m", "r")),
-    "spheroid": (spheroid, ("a",)),
-    "ellipsoid": (ellipsoid, ("semiaxes",)),
-    "torus": (torus, ("R", "r")),
-    "clifford_torus": (clifford_torus, ("r1", "r2")),
-    "ball": (ball, ("n", "r")),
-    "ellipsoid_body": (ellipsoid_body, ("semiaxes",)),
-    "polygon_knot": (polygon_knot, ("vertices",)),
+    "circle": (circle, {"r": _NUMBER}),
+    "ellipse": (ellipse, {"a": _NUMBER, "b": _NUMBER}),
+    "sphere": (sphere, {"m": _INTEGER, "r": _NUMBER}),
+    "spheroid": (spheroid, {"a": _NUMBER}),
+    "ellipsoid": (ellipsoid, {"semiaxes": _NUMBERS}),
+    "torus": (torus, {"R": _NUMBER, "r": _NUMBER}),
+    "clifford_torus": (clifford_torus, {"r1": _NUMBER, "r2": _NUMBER}),
+    "ball": (ball, {"n": _INTEGER, "r": _NUMBER}),
+    "ellipsoid_body": (ellipsoid_body, {"semiaxes": _NUMBERS}),
+    "polygon_knot": (polygon_knot, {"vertices": _POINTS3}),
 }
 
 
@@ -424,39 +453,22 @@ def from_config(doc) -> ManifoldSpec:
     kind = doc.get("kind")
     if kind not in _BUILTINS:
         raise ConfigError(f"unknown shape kind {kind!r}; valid: {sorted(_BUILTINS)}")
-    fn, argnames = _BUILTINS[kind]
+    fn, types = _BUILTINS[kind]
     params = dict(doc.get("params", {}))
-    bad = set(params) - set(argnames)
+    bad = set(params) - set(types)
     if bad:
         raise ConfigError(f"unknown params for {kind}: {sorted(bad)}")
     if doc.get("orientation", "outward") != "outward":
         raise ConfigError("only outward orientation is supported")
     for name, value in params.items():
-        _check_param(kind, name, value)
+        check, what = types[name]
+        if not check(value):
+            raise ConfigError(f"{kind} param {name!r} must be {what}, got {value!r}")
     try:
         inspect.signature(fn).bind(**params)
     except TypeError as exc:
         raise ConfigError(f"bad params for {kind}: {exc}") from None
     return fn(**params)
-
-
-def _check_param(kind: str, name: str, value) -> None:
-    """Dimensions m, n are integers; every other param is a finite number or a list of them."""
-    if name in ("m", "n"):
-        ok, what = isinstance(value, int) and not isinstance(value, bool), "an integer"
-    elif name in ("semiaxes", "vertices"):
-        try:
-            arr = np.asarray(value, dtype=float)
-        except (TypeError, ValueError):
-            arr = np.array(math.nan)
-        ok = arr.ndim == (1 if name == "semiaxes" else 2) and bool(np.all(np.isfinite(arr)))
-        what = "a list of finite numbers" if name == "semiaxes" else "a list of 3-vectors"
-    else:
-        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-              and math.isfinite(value))
-        what = "a finite number"
-    if not ok:
-        raise ConfigError(f"{kind} param {name!r} must be {what}, got {value!r}")
 
 
 def load_config(path: str) -> ManifoldSpec:

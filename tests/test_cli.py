@@ -160,6 +160,7 @@ def test_shape_params_pass_by_keyword(capsys):
     '{"kind": "circle", "params": {"r": 1e400}}',
     '{"kind": "sphere", "params": {"m": 2.5}}',
     '{"kind": "ellipsoid", "params": {"semiaxes": ["a", 1, 1]}}',
+    '{"kind": "polygon_knot", "params": {"vertices": [[0, 0], [1, 0], [0, 1]]}}',
 ])
 def test_bad_shape_params_are_config_errors(shape, capsys):
     code = cli.main(["--cmd", "beta", "--shape", shape, "--z", "1"])

@@ -457,6 +457,52 @@ def test_cap_graph_newton_nonconvergence_raises():
         _cap(_paraboloid(0.1, slope_scale=10.0), np.array([0.05, 0.1]))
 
 
+def test_cap_graph_newton_cycle_raises():
+    # g(w) = w^3 - 2w + 2 of w = z - c|s|^2: Newton from 0 falls into the
+    # super-attracting cycle 0 -> 1 -> 0, whose steps stop shrinking far
+    # above the rounding floor; that must not count as converged
+    from residue_lab.manifold.shapes import ImplicitPoly, ManifoldSpec
+
+    def value(y):
+        w = y[:, 2] - 0.1 * (y[:, 0] ** 2 + y[:, 1] ** 2)
+        return w ** 3 - 2.0 * w + 2.0
+
+    def gradient(y):
+        y = np.atleast_2d(y)
+        w = y[:, 2] - 0.1 * (y[:, 0] ** 2 + y[:, 1] ** 2)
+        g = 3.0 * w ** 2 - 2.0
+        return g[:, None] * np.stack([-0.2 * y[:, 0], -0.2 * y[:, 1],
+                                      np.ones(len(y))], axis=1)
+
+    spec = ManifoldSpec(kind="cycle", m=2, n=3, patches=(),
+                        implicit=ImplicitPoly(gradient=gradient, ring=None, value=value))
+    with pytest.raises(NumericError, match="graph Newton"):
+        _cap(spec, np.array([0.05, 0.1]))
+
+
+@pytest.mark.parametrize("R", [20.0, 50.0])
+def test_thin_tori_match_direct_quadrature(R):
+    # the cap Newton's rounding floor grows like R^2 / r, above any fixed
+    # absolute step tolerance; z = 2 makes the pair sum spectrally accurate
+    b = cont.beta_eval(cont.distance_profile(M.torus(R, 1.0), order=24), 2.0).value
+    d = cont.direct_double_quadrature(M.torus(R, 1.0), 2.0, order=48)
+    assert abs(b - d) / abs(d) < 1e-7
+
+
+def test_homogeneity_large_shapes(ellipse_profile):
+    scaled = cont.distance_profile(M.ellipse(200.0, 120.0))
+    for z in (1.0, -2.0):
+        b1 = cont.beta_eval(ellipse_profile, z).value
+        b2 = cont.beta_eval(scaled, z).value
+        assert abs(b2 - 200.0 ** (z + 2) * b1) <= 1e-6 * max(abs(b2), abs(b1), 1.0)
+    small = cont.distance_profile(M.torus(2.0, 1.0), order=24)
+    large = cont.distance_profile(M.torus(200.0, 100.0), order=24)
+    for z in (1.0, -0.5):
+        b1 = cont.beta_eval(small, z).value
+        b2 = cont.beta_eval(large, z).value
+        assert abs(b2 - 100.0 ** (z + 4) * b1) <= 1e-6 * max(abs(b2), abs(b1), 1.0)
+
+
 def test_cap_radius_fixed_point_nonconvergence_raises():
     # t much larger than the curvature radius 1/(2c): the fixed point
     # contracts by about -c^2 rho^2 / (1 + c^2 rho^2), close to -1
