@@ -148,8 +148,7 @@ def cmd_residues(args) -> int:
         rep.add(-spec.m, res.residue_first(spec, order=order), "curvature")
         rep.add(-spec.m - 2, res.residue_second(spec, order=order), "curvature")
         if spec.m == 4 and spec.codim == 1:
-            r8 = res.residue_m8(spec, order=max(order, 48))
-            r8nu = res.nu_residue_m8(spec, order=max(order, 48))
+            r8, r8nu = res.m8_residues(spec, order=max(order, 48))
             rep.add(-8.0, r8["modified"], "curvature-order3", r8["spread"])
             rep.metadata["r8_raw"] = fmt_float(r8["raw"])
             rep.metadata["r8_nu"] = fmt_float(r8nu["modified"])

@@ -21,6 +21,7 @@ polar quadrature around each sample point for the small-t data.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass, field
@@ -29,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import roots_jacobi
 
-from ._util import NumericError, chunked_map_reduce, fmt_float
+from ._util import ConfigError, NumericError, chunked_map_reduce, fmt_float
 from .manifold.frames import reach_estimate
 from .manifold.quadrature import gauss_on, gauss_rule, patch_jacobian, sample_quadrature
 from .manifold.shapes import ManifoldSpec
@@ -149,6 +150,21 @@ class DistanceProfile:
 
     @classmethod
     def from_text(cls, text: str) -> "DistanceProfile":
+        """Parse ``to_text`` output; NumericError on malformed or non-finite text."""
+        try:
+            prof = cls._parse_text(text)
+        except (IndexError, KeyError, ValueError) as exc:
+            raise NumericError(f"unknown profile format: {exc}") from None
+        numbers = np.concatenate([[prof.vol, prof.delta, prof.diam, prof.fit_residual,
+                                   prof.fit_condition], prof.coeffs, prof.coeff_errors,
+                                  prof.tail_edges, prof.tail_w, prof.tail_wd,
+                                  prof.tail_wd2])
+        if not np.all(np.isfinite(numbers)):
+            raise NumericError("unknown profile format: non-finite number")
+        return prof
+
+    @classmethod
+    def _parse_text(cls, text: str) -> "DistanceProfile":
         lines = [ln for ln in text.strip().splitlines()]
         if lines[0] != "RLPROFILE 1":
             raise NumericError("unknown profile format")
@@ -163,6 +179,8 @@ class DistanceProfile:
                 break
             kv[key] = parts[1:]
             i += 1
+        if ncell < 0:
+            raise ValueError("negative tail cell count")
         edges, w, wd, wd2 = [], [], [], []
         for row in range(ncell):
             a, b, c, d = (float(v) for v in lines[i + row].split())
@@ -170,8 +188,10 @@ class DistanceProfile:
             w.append(b)
             wd.append(c)
             wd2.append(d)
-        tail_end = float(lines[i + ncell].split()[1])
-        edges.append(tail_end)
+        key, tail_end = lines[i + ncell].split()
+        if key != "tail_end":
+            raise ValueError("missing tail_end")
+        edges.append(float(tail_end))
         return cls(m=int(kv["m"][0]), vol=float(kv["vol"][0]),
                    delta=float(kv["delta"][0]), diam=float(kv["diam"][0]),
                    weight=kv["weight"][0], mode=kv["mode"][0],
@@ -546,13 +566,77 @@ def _cross_radii(patch, u0, x0, dirs, rho0, t_grid):
     return 0.5 * (lo + h)
 
 
+def _graph_f(imp, base, nu, f):
+    """Points base + f nu on F = 0, by Newton in the offsets f from ``f``.
+
+    Stops below a fixed step tolerance, or once the steps stop shrinking at
+    the rounding floor, which grows with the size of the shape (the torus
+    quartic's terms are ~R^4 against |grad F| ~ 8 R^2 r).
+    """
+    floor = 1e-10 * max(1.0, np.max(np.abs(base)))
+    last = math.inf
+    for _ in range(60):
+        y = base + f[:, None] * nu[None, :]
+        slope = imp.gradient(y) @ nu
+        step = imp.value(y) / np.where(np.abs(slope) < 1e-300, 1e-300, slope)
+        f = f - step
+        smax = np.max(np.abs(step))
+        if smax < 1e-14 or (smax >= last and smax < floor):
+            return base + f[:, None] * nu[None, :]
+        last = smax
+    raise NumericError(
+        f"graph Newton around a cap center did not converge in 60 steps "
+        f"(last step {smax:.3g})")
+
+
+def _cap_boundary(imp, x0, nu, e, t):
+    """Cap boundary points in the tangent graph chart: (rho, f) per row.
+
+    Row k solves F(x0 + t_k (cos a e_k + sin a nu)) = 0 for the angle a on
+    the chord sphere of radius t_k by Newton from a = 0, so rho = t cos a and
+    f = t sin a. The stop test reads the displacement t |step|, against the
+    same tolerance and rounding floor as ``_graph_f``. A root past the
+    tangent-graph sheet (nu . grad F <= 0, as beyond the equator of a
+    sphere) or on the opposite ray (rho <= 0) raises NumericError.
+    """
+    floor = 1e-10 * max(1.0, np.max(np.abs(x0)))
+    a = np.zeros(len(t))
+    last = math.inf
+    for _ in range(60):
+        c, s = np.cos(a), np.sin(a)
+        y = x0[None, :] + (t * c)[:, None] * e + (t * s)[:, None] * nu[None, :]
+        g = imp.gradient(y)
+        gn = g @ nu
+        slope = t * (c * gn - s * np.einsum("ij,ij->i", g, e))
+        step = imp.value(y) / np.where(np.abs(slope) < 1e-300, 1e-300, slope)
+        a = a - step
+        disp = np.max(t * np.abs(step))
+        if disp < 1e-14 or (disp >= last and disp < floor):
+            break
+        last = disp
+    else:
+        raise NumericError(
+            f"cap angle Newton did not converge in 60 steps (last step {disp:.3g})")
+    # gn is read one step before the converged angle, enough for its sign
+    rho = t * np.cos(a)
+    if np.any(gn <= 0.0) or np.any(rho <= 0.0):
+        raise NumericError(
+            "a cap boundary point left the tangent-graph sheet (nu . grad F <= 0) "
+            "or its ray (cap radius <= 0); reduce delta")
+    return rho, t * np.sin(a)
+
+
 def _cap_masses_implicit(surf, x0, weight, t_grid, dirw, gx, gw, custom, n_ang):
     """Cap masses around x0 through the ambient tangent graph chart.
 
-    Valid for hypersurfaces with a polynomial implicit F: the graph offset
-    f(s) solves F(x0 + E^T s + f nu) = 0 by a scalar vector Newton from 0,
-    the area density is sqrt(1 + |grad_s f|^2) with grad_s f = -(E grad F)/
-    (nu . grad F), and chords satisfy d >= |s| so cap radii live in [0, t].
+    Valid for hypersurfaces with a polynomial implicit F. In the tangent
+    frame E at x0 the surface is the graph of an offset f(s) along nu. Each
+    cap boundary point, on the ray s = rho dir and at chord distance t from
+    x0, comes from one angle Newton on the chord sphere (``_cap_boundary``).
+    The offsets at the radial Gauss points solve F(x0 + E^T s + f nu) = 0 by
+    ``_graph_f``, warm-started from the boundary offset scaled by gx^2. The
+    area density is sqrt(1 + |grad_s f|^2) with grad_s f = -(E grad F)/
+    (nu . grad F).
     """
     imp = surf.implicit
     m = surf.m
@@ -562,51 +646,14 @@ def _cap_masses_implicit(surf, x0, weight, t_grid, dirw, gx, gw, custom, n_ang):
     wvals, V = np.linalg.eigh(P)
     E = V[:, wvals > 0.5].T                     # (m, n)
     dirs, dirw = _direction_set(m, n_ang)
-    nd, nt = len(dirs), len(t_grid)
-    tt = np.broadcast_to(np.asarray(t_grid)[None, :], (nd, nt))
-
-    # Both loops stop below a fixed tolerance, or once their steps stop
-    # shrinking at the rounding floor, which grows with the size of the
-    # shape (the torus quartic's terms are ~R^4 against |grad F| ~ 8 R^2 r).
-    def graph_f(S):
-        base = x0[None, :] + S @ E
-        f = np.zeros(S.shape[0])
-        last = math.inf
-        for _ in range(60):
-            y = base + f[:, None] * nu[None, :]
-            val = imp.value(y)
-            slope = imp.gradient(y) @ nu
-            step = val / np.where(np.abs(slope) < 1e-300, 1e-300, slope)
-            f = f - step
-            smax = np.max(np.abs(step))
-            if smax < 1e-14 or (smax >= last
-                                and smax < 1e-10 * max(1.0, np.max(np.abs(base)))):
-                return f, base + f[:, None] * nu[None, :]
-            last = smax
-        raise NumericError(
-            f"graph Newton around a cap center did not converge in 60 steps "
-            f"(last step {smax:.3g})")
-
-    rho = tt.copy()
-    dd = np.repeat(dirs, nt, axis=0)
-    last = math.inf
-    for _ in range(60):
-        S = rho.reshape(-1, 1) * dd
-        f, y = graph_f(S)
-        d = np.sqrt((rho.reshape(-1) ** 2 + f ** 2)).reshape(nd, nt)
-        ratio = tt / np.maximum(d, 1e-300)
-        rho = rho * ratio
-        err = np.max(np.abs(ratio - 1.0))
-        if err < 5e-14 or (err >= last and err < 1e-10):
-            break
-        last = err
-    else:
-        raise NumericError(
-            f"cap radius fixed point did not converge in 60 steps "
-            f"(last ratio error {err:.3g})")
+    nd, nt, ng = len(dirs), len(t_grid), len(gx)
+    rho, fb = _cap_boundary(imp, x0, nu, np.repeat(dirs @ E, nt, axis=0),
+                            np.tile(np.asarray(t_grid, dtype=float), nd))
+    rho = rho.reshape(nd, nt)
     rr = rho[:, :, None] * gx[None, None, :]
-    S = rr.reshape(-1, 1) * np.repeat(dirs, nt * len(gx), axis=0)
-    f, y = graph_f(S)
+    S = rr.reshape(-1, 1) * np.repeat(dirs, nt * ng, axis=0)
+    f0 = (fb.reshape(nd, nt, 1) * (gx * gx)[None, None, :]).reshape(-1)
+    y = _graph_f(imp, x0[None, :] + S @ E, nu, f0)
     grad = imp.gradient(y)
     denom = grad @ nu
     gs = -(grad @ E.T) / denom[:, None]
@@ -884,13 +931,20 @@ def _tail_part(profile: DistanceProfile, z: complex) -> complex:
     return complex(np.sum(f * w + f1 * (wd - mid * w) + 0.5 * f2 * m2))
 
 
+def _finite_z(z) -> complex:
+    zc = complex(z)
+    if not cmath.isfinite(zc):
+        raise ConfigError(f"evaluation point z={z!r} must be finite")
+    return zc
+
+
 def beta_eval(profile: DistanceProfile, z, method: str = "profile") -> BetaEvaluation:
-    """Evaluate the continued energy function at z.
+    """Evaluate the continued energy function at z (a ConfigError unless finite).
 
     Inside the pole guard the returned value is the Hadamard finite part and
     the evaluation is flagged ``at_pole`` with the residue attached.
     """
-    zc = complex(z)
+    zc = _finite_z(z)
     pole, dist = profile.nearest_pole(zc)
     if dist < POLE_GUARD:
         j = int(round((-pole - profile.m) / 2))
@@ -922,7 +976,7 @@ def residue_from_profile(profile: DistanceProfile, pole: float) -> tuple[float, 
 
 def hadamard_finite_part(profile: DistanceProfile, z0) -> complex:
     """lim_{w->z0} (B(w) - Res/(w - z0)); equals B(z0) away from the poles."""
-    zc = complex(z0)
+    zc = _finite_z(z0)
     pole, dist = profile.nearest_pole(zc)
     if dist >= POLE_GUARD:
         return beta_eval(profile, zc).value

@@ -147,8 +147,16 @@ def _diag_quadric_implicit(inv_sq: np.ndarray) -> ImplicitPoly:
     return ImplicitPoly(gradient=gradient, ring=ring, value=value)
 
 
+def _positive_lengths(kind: str, *lengths) -> tuple[float, ...]:
+    """The lengths as floats; a ConfigError unless every one is > 0."""
+    out = tuple(float(v) for v in lengths)
+    if not all(v > 0 for v in out):
+        raise ConfigError(f"{kind} needs positive lengths, got {out}")
+    return out
+
+
 def _ellipsoid_like(kind: str, semiaxes, **extra) -> ManifoldSpec:
-    semiaxes = tuple(float(a) for a in semiaxes)
+    semiaxes = _positive_lengths(kind, *semiaxes)
     n = len(semiaxes)
     m = n - 1
     ax = np.asarray(semiaxes)
@@ -177,7 +185,7 @@ def _ellipsoid_like(kind: str, semiaxes, **extra) -> ManifoldSpec:
 # ---------------------------------------------------------------------------
 
 def circle(r: float = 1.0) -> ManifoldSpec:
-    r = float(r)
+    r, = _positive_lengths("circle", r)
 
     def chart(u, _r=r):
         u = np.atleast_2d(u)
@@ -285,7 +293,7 @@ def torus(R: float = 2.0, r: float = 1.0) -> ManifoldSpec:
 
 def clifford_torus(r1: float = 1.0, r2: float = 1.0) -> ManifoldSpec:
     """Flat product torus S^1(r1) x S^1(r2) in R^4; codimension 2."""
-    r1, r2 = float(r1), float(r2)
+    r1, r2 = _positive_lengths("clifford_torus", r1, r2)
 
     def chart(u, _r1=r1, _r2=r2):
         u = np.atleast_2d(u)
@@ -299,6 +307,7 @@ def clifford_torus(r1: float = 1.0, r2: float = 1.0) -> ManifoldSpec:
 
 
 def ball(n: int, r: float = 1.0) -> ManifoldSpec:
+    r, = _positive_lengths("ball", r)
     bnd = sphere(n - 1, r)
     return ManifoldSpec(kind="ball", m=n, n=n, patches=bnd.patches,
                         params={"n": int(n), "r": float(r)}, is_body=True,
@@ -322,6 +331,10 @@ def polygon_knot(vertices) -> ManifoldSpec:
     v = np.asarray(vertices, dtype=float)
     if v.ndim != 2 or v.shape[1] != 3 or v.shape[0] < 3:
         raise ConfigError("polygon_knot needs >= 3 vertices in R^3")
+    lens = np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)
+    if not np.all(lens > 0):
+        raise ConfigError(f"polygon_knot has a zero-length edge after vertex "
+                          f"{int(np.argmin(lens))} (a repeated vertex)")
     verts = tuple(map(tuple, v))
 
     def chart(u, _v=v):
@@ -336,7 +349,7 @@ def polygon_knot(vertices) -> ManifoldSpec:
         t = (s - cum[idx]) / lens[idx]
         return _v[idx] + t[:, None] * edges[idx]
 
-    total = float(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1).sum())
+    total = float(lens.sum())
     patch = Patch(box=((0.0, total),), chart=chart, periodic=(True,), label="polygon-chart")
     return ManifoldSpec(kind="polygon_knot", m=1, n=3, patches=(patch,),
                         params={"vertices": verts})

@@ -356,6 +356,21 @@ def local_r8_nu_modified(fr: CurvatureFrame) -> float:
     return kc + math.pi ** 2 / 384.0 * (5.0 * dhsq - 4.0 * dsc)
 
 
+def _m8_residues(spec: ManifoldSpec, pairs, order: int, reduced, name: str) -> list[dict]:
+    """One max_order=4 frame pass over (modified, raw) integrand pairs."""
+    surf = spec.surface()
+    if surf.m != 4 or surf.codim != 1:
+        raise NumericError(f"{name} needs a closed 4-D hypersurface")
+    vals = frame_integral(spec, lambda fr: [f(fr) for pair in pairs for f in pair],
+                          order=order, max_order=4, reduced=reduced)
+    return [{"modified": mod, "raw": raw, "spread": abs(mod - raw)}
+            for mod, raw in zip(vals[0::2], vals[1::2])]
+
+
+_R8 = (local_r8_modified, local_r8_raw)
+_R8_NU = (local_r8_nu_modified, local_r8_nu_raw)
+
+
 def residue_m8(spec: ManifoldSpec, order: int = 48, reduced: str | bool = "auto") -> dict:
     """Residue at z = -8 of a closed 4-D hypersurface, both computation paths.
 
@@ -363,23 +378,18 @@ def residue_m8(spec: ManifoldSpec, order: int = 48, reduced: str | bool = "auto"
     'raw' integrates the full local formula. On a closed manifold the two
     integrals agree because the traded terms are exact Laplacians.
     """
-    surf = spec.surface()
-    if surf.m != 4 or surf.codim != 1:
-        raise NumericError("residue_m8 needs a closed 4-D hypersurface")
-    modified, raw = frame_integral(
-        spec, lambda fr: (local_r8_modified(fr), local_r8_raw(fr)),
-        order=order, max_order=4, reduced=reduced)
-    return {"modified": modified, "raw": raw, "spread": abs(modified - raw)}
+    return _m8_residues(spec, [_R8], order, reduced, "residue_m8")[0]
 
 
 def nu_residue_m8(spec: ManifoldSpec, order: int = 48, reduced: str | bool = "auto") -> dict:
-    surf = spec.surface()
-    if surf.m != 4 or surf.codim != 1:
-        raise NumericError("nu_residue_m8 needs a closed 4-D hypersurface")
-    modified, raw = frame_integral(
-        spec, lambda fr: (local_r8_nu_modified(fr), local_r8_nu_raw(fr)),
-        order=order, max_order=4, reduced=reduced)
-    return {"modified": modified, "raw": raw, "spread": abs(modified - raw)}
+    return _m8_residues(spec, [_R8_NU], order, reduced, "nu_residue_m8")[0]
+
+
+def m8_residues(spec: ManifoldSpec, order: int = 48,
+                reduced: str | bool = "auto") -> tuple[dict, dict]:
+    """(residue_m8, nu_residue_m8) from one frame pass; each value is
+    bit-identical to its separate call."""
+    return tuple(_m8_residues(spec, [_R8, _R8_NU], order, reduced, "m8_residues"))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@ import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from residue_lab import cli, oracles
+from residue_lab._util import ConfigError
 from residue_lab.manifold import shapes
 
 
@@ -161,6 +164,16 @@ def test_shape_params_pass_by_keyword(capsys):
     '{"kind": "sphere", "params": {"m": 2.5}}',
     '{"kind": "ellipsoid", "params": {"semiaxes": ["a", 1, 1]}}',
     '{"kind": "polygon_knot", "params": {"vertices": [[0, 0], [1, 0], [0, 1]]}}',
+    '{"kind": "circle", "params": {"r": -1}}',
+    '{"kind": "ball", "params": {"n": 3, "r": 0}}',
+    '{"kind": "ellipse", "params": {"a": -1, "b": 0.6}}',
+    '{"kind": "sphere", "params": {"m": 2, "r": -0.5}}',
+    '{"kind": "spheroid", "params": {"a": 0}}',
+    '{"kind": "ellipsoid", "params": {"semiaxes": [1, -1.3, 0.8]}}',
+    '{"kind": "ellipsoid_body", "params": {"semiaxes": [1, 1.3, 0]}}',
+    '{"kind": "clifford_torus", "params": {"r1": 1, "r2": -2}}',
+    '{"kind": "polygon_knot", "params": {"vertices": [[0, 0, 0], [1, 0, 0], [1, 0, 0], [0, 1, 0]]}}',
+    '{"kind": "polygon_knot", "params": {"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 0]]}}',
 ])
 def test_bad_shape_params_are_config_errors(shape, capsys):
     code = cli.main(["--cmd", "beta", "--shape", shape, "--z", "1"])
@@ -173,3 +186,24 @@ def test_nonfinite_z_is_config_error(z, capsys):
     code = cli.main(["--cmd", "beta", "--shape", '{"kind": "circle"}', "--z", z])
     assert code == 2
     assert "must be finite" in capsys.readouterr().err
+
+
+_VALUES = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(-3, 6),
+                    st.booleans(), st.none(), st.text(max_size=3),
+                    st.lists(st.floats(-3, 3), max_size=5),
+                    st.lists(st.lists(st.integers(-2, 2), min_size=2, max_size=4),
+                             max_size=5))
+_PARAM_NAMES = ["r", "a", "b", "m", "n", "R", "r1", "r2", "semiaxes", "vertices", "x"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(shapes._BUILTINS) + ["cube", ""]),
+       params=st.dictionaries(st.sampled_from(_PARAM_NAMES), _VALUES, max_size=3))
+def test_from_config_gives_a_spec_or_a_config_error(kind, params):
+    # builds specs only; every malformed input must be a ConfigError
+    try:
+        spec = shapes.from_config({"kind": kind, "params": params})
+    except ConfigError:
+        return
+    assert isinstance(spec, shapes.ManifoldSpec)
+

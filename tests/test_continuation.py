@@ -59,6 +59,30 @@ def test_profile_serialization_roundtrip(circle_profile):
     assert r0 == r1
 
 
+def test_malformed_profile_text_is_a_numeric_error(circle_profile):
+    text = circle_profile.to_text()
+    lines = text.splitlines()
+    coeffs = next(i for i, ln in enumerate(lines) if ln.startswith("coeffs "))
+    bad = ["", "RLPROFILE 2\n" + text.split("\n", 1)[1],       # header
+           text[:len(text) // 2], "\n".join(lines[:12]),        # truncated
+           "\n".join(lines[:-2]), text.replace("tail_end", "tail_edge"),
+           text.replace(lines[coeffs], lines[coeffs] + " nan"),
+           text.replace(lines[coeffs], "coeffs inf"),
+           text.replace(lines[-2], "tail_end -inf")]
+    for t in bad:
+        with pytest.raises(NumericError, match="unknown profile format"):
+            cont.DistanceProfile.from_text(t)
+
+
+def test_nonfinite_z_is_a_config_error(circle_profile):
+    from residue_lab._util import ConfigError
+    for z in (math.nan, math.inf, -math.inf, complex(1.0, math.nan)):
+        with pytest.raises(ConfigError, match="must be finite"):
+            cont.beta_eval(circle_profile, z)
+        with pytest.raises(ConfigError, match="must be finite"):
+            cont.hadamard_finite_part(circle_profile, z)
+
+
 # --- beta evaluation ---------------------------------------------------------
 
 def test_beta_circle_values(circle_profile):
@@ -437,12 +461,21 @@ def _paraboloid(c, slope_scale=1.0):
                         implicit=ImplicitPoly(gradient=gradient, ring=None, value=value))
 
 
-def _cap(surf, t_grid):
+def _cap(surf, t_grid, x0=np.zeros(3), ng=12):
     from residue_lab.manifold.quadrature import gauss_rule
-    gx, gw = gauss_rule(12)
-    dirs, dirw = cont._direction_set(2, 32)
-    return cont._cap_masses_implicit(surf, np.zeros(3), WeightKind.ONE, t_grid, dirw,
+    gx, gw = gauss_rule(ng)
+    dirs, dirw = cont._direction_set(surf.m, 32)
+    return cont._cap_masses_implicit(surf, x0, WeightKind.ONE, t_grid, dirw,
                                      0.5 * (gx + 1.0), 0.5 * gw, None, 32)
+
+
+def _graph_newton_from_zero(surf, radii):
+    # the graph Newton from f = 0 over tangent points at the given radii
+    imp = surf.implicit
+    g0 = imp.gradient(np.zeros((1, 3)))[0]
+    nu = g0 / np.linalg.norm(g0)
+    base = np.array([[r, 0.0, 0.0] for r in radii] + [[0.0, r, 0.0] for r in radii])
+    return cont._graph_f(imp, base, nu, np.zeros(len(base)))
 
 
 def test_cap_masses_converge_on_a_paraboloid():
@@ -453,8 +486,11 @@ def test_cap_masses_converge_on_a_paraboloid():
 
 def test_cap_graph_newton_nonconvergence_raises():
     # a slope ten times too steep makes the Newton iteration contract by 0.9
+    spec = _paraboloid(0.1, slope_scale=10.0)
+    with pytest.raises(NumericError, match="angle Newton"):
+        _cap(spec, np.array([0.05, 0.1]))
     with pytest.raises(NumericError, match="graph Newton"):
-        _cap(_paraboloid(0.1, slope_scale=10.0), np.array([0.05, 0.1]))
+        _graph_newton_from_zero(spec, [0.05, 0.1])
 
 
 def test_cap_graph_newton_cycle_raises():
@@ -476,8 +512,113 @@ def test_cap_graph_newton_cycle_raises():
 
     spec = ManifoldSpec(kind="cycle", m=2, n=3, patches=(),
                         implicit=ImplicitPoly(gradient=gradient, ring=None, value=value))
-    with pytest.raises(NumericError, match="graph Newton"):
+    with pytest.raises(NumericError, match="angle Newton"):
         _cap(spec, np.array([0.05, 0.1]))
+    with pytest.raises(NumericError, match="graph Newton"):
+        _graph_newton_from_zero(spec, [0.05, 0.1])
+
+
+def _cap_nested_reference(surf, x0, t_grid, gx, gw, n_ang):
+    """The cap-radius fixed point around a graph Newton from 0 that the angle
+    Newton replaced: (rho, cap masses) for weight one."""
+    imp, m = surf.implicit, surf.m
+    g0 = imp.gradient(x0[None, :])[0]
+    nu = g0 / np.linalg.norm(g0)
+    wvals, V = np.linalg.eigh(np.eye(surf.n) - np.outer(nu, nu))
+    E = V[:, wvals > 0.5].T
+    dirs, dirw = cont._direction_set(m, n_ang)
+    nd, nt = len(dirs), len(t_grid)
+    tt = np.broadcast_to(np.asarray(t_grid)[None, :], (nd, nt))
+
+    def graph_f(S):
+        base = x0[None, :] + S @ E
+        f = np.zeros(S.shape[0])
+        last = math.inf
+        for _ in range(60):
+            y = base + f[:, None] * nu[None, :]
+            step = imp.value(y) / (imp.gradient(y) @ nu)
+            f = f - step
+            smax = np.max(np.abs(step))
+            if smax < 1e-14 or (smax >= last
+                                and smax < 1e-10 * max(1.0, np.max(np.abs(base)))):
+                return f, base + f[:, None] * nu[None, :]
+            last = smax
+        raise NumericError("graph Newton")
+
+    rho = tt.copy()
+    dd = np.repeat(dirs, nt, axis=0)
+    last = math.inf
+    for _ in range(60):
+        f, _ = graph_f(rho.reshape(-1, 1) * dd)
+        d = np.sqrt(rho.reshape(-1) ** 2 + f ** 2).reshape(nd, nt)
+        ratio = tt / d
+        rho = rho * ratio
+        err = np.max(np.abs(ratio - 1.0))
+        if err < 5e-14 or (err >= last and err < 1e-10):
+            break
+        last = err
+    else:
+        raise NumericError("fixed point")
+    rr = rho[:, :, None] * gx[None, None, :]
+    f, y = graph_f(rr.reshape(-1, 1) * np.repeat(dirs, nt * len(gx), axis=0))
+    grad = imp.gradient(y)
+    gs = -(grad @ E.T) / (grad @ nu)[:, None]
+    dens = np.sqrt(1.0 + np.sum(gs ** 2, axis=1)).reshape(rr.shape)
+    return rho, dirw @ ((dens * rr ** (m - 1)) @ gw * rho)
+
+
+@pytest.mark.parametrize("spec", [M.torus(2.0, 1.0), M.ellipse(1.0, 0.6),
+                                  M.ellipsoid((1.0, 1.3, 0.8))],
+                         ids=["torus", "ellipse", "ellipsoid"])
+def test_cap_angle_newton_matches_nested_loop(spec):
+    from residue_lab.manifold.quadrature import gauss_rule, patch_grid
+    gx, gw = gauss_rule(12)
+    gx, gw = 0.5 * (gx + 1.0), 0.5 * gw
+    imp, m = spec.implicit, spec.m
+    dirs, dirw = cont._direction_set(m, 32)
+    t = 0.2 * M.reach_estimate(spec) * np.arange(1, 17) / 16
+    u0s, _ = patch_grid(spec.patches[0], 6)
+    for u0 in u0s[::2]:
+        x0 = spec.patches[0].chart(u0[None, :])[0]
+        rho_ref, mass_ref = _cap_nested_reference(spec, x0, t, gx, gw, 32)
+        g0 = imp.gradient(x0[None, :])[0]
+        nu = g0 / np.linalg.norm(g0)
+        wvals, V = np.linalg.eigh(np.eye(spec.n) - np.outer(nu, nu))
+        e = dirs @ V[:, wvals > 0.5].T
+        rho, _ = cont._cap_boundary(imp, x0, nu, np.repeat(e, len(t), axis=0),
+                                    np.tile(t, len(dirs)))
+        assert np.max(np.abs(rho.reshape(rho_ref.shape) / rho_ref - 1.0)) <= 1e-12
+        mass = cont._cap_masses_implicit(spec, x0, WeightKind.ONE, t, dirw, gx, gw,
+                                         None, 32)
+        assert np.max(np.abs(mass / mass_ref - 1.0)) <= 1e-12
+
+
+def test_sphere_caps_are_archimedean_until_the_equator():
+    # the unit-sphere cap within chord t has area pi t^2; past t = sqrt(2) the
+    # cap boundary lies beyond the equator, off the tangent-graph sheet
+    sphere, pole = M.sphere(2, 1.0), np.array([0.0, 0.0, 1.0])
+    t = np.array([0.5, 1.0])
+    assert np.max(np.abs(_cap(sphere, t, pole, ng=24) / (math.pi * t ** 2) - 1.0)) <= 1e-10
+    for t in (1.5, 1.9):
+        with pytest.raises(NumericError, match="tangent-graph sheet"):
+            _cap(sphere, np.array([t]), pole)
+    # on z = |s|^2 at t = 1.4 the angle Newton lands on the opposite ray
+    with pytest.raises(NumericError, match="tangent-graph sheet"):
+        _cap(_paraboloid(1.0), np.array([1.4]))
+
+
+def test_cap_solve_takes_seven_implicit_evaluations_per_torus_node(torus_spec):
+    from dataclasses import replace
+    calls = []
+
+    def value(y):
+        calls.append(len(y))
+        return torus_spec.implicit.value(y)
+
+    spec = replace(torus_spec, implicit=replace(torus_spec.implicit, value=value))
+    x0 = spec.patches[0].chart(np.array([[0.3, 1.1]]))[0]
+    _cap(spec, 0.2 * M.reach_estimate(spec) * np.arange(1, 17) / 16, x0)
+    assert len(calls) <= 8
 
 
 @pytest.mark.parametrize("R", [20.0, 50.0])
@@ -504,7 +645,7 @@ def test_homogeneity_large_shapes(ellipse_profile):
 
 
 def test_cap_radius_fixed_point_nonconvergence_raises():
-    # t much larger than the curvature radius 1/(2c): the fixed point
-    # contracts by about -c^2 rho^2 / (1 + c^2 rho^2), close to -1
-    with pytest.raises(NumericError, match="fixed point"):
+    # t much larger than the curvature radius 1/(2c): the angle Newton's first
+    # step is -c t = -100 radians, and it never settles on the periodic G(a)
+    with pytest.raises(NumericError, match="angle Newton"):
         _cap(_paraboloid(100.0), np.array([1.0]))

@@ -79,8 +79,28 @@ def test_vector_integrand_matches_scalar_calls():
 
 def test_m8_requires_four_dim():
     from residue_lab._util import NumericError
-    with pytest.raises(NumericError):
-        R.residue_m8(M.sphere(2, 1.0))
+    for fn in (R.residue_m8, R.nu_residue_m8, R.m8_residues):
+        with pytest.raises(NumericError):
+            fn(M.sphere(2, 1.0))
+
+
+def test_m8_residues_share_one_frame_pass(monkeypatch):
+    built = []
+
+    def counting_frame(*args, **kw):
+        built.append(kw["max_order"])
+        return curvature_frame(*args, **kw)
+
+    monkeypatch.setattr(R, "curvature_frame", counting_frame)
+    for spec, order, reduced in ((M.spheroid(1.7), 16, "auto"),   # reduced line
+                                 (M.spheroid(1.7), 3, False)):    # 4-parameter grid
+        built.clear()
+        r8, r8nu = R.m8_residues(spec, order=order, reduced=reduced)
+        nodes = len(built)
+        assert set(built) == {4}
+        assert r8 == R.residue_m8(spec, order=order, reduced=reduced)
+        assert r8nu == R.nu_residue_m8(spec, order=order, reduced=reduced)
+        assert len(built) == 3 * nodes
 
 
 def test_weyl_tube_k2():
