@@ -5,8 +5,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
 ENV_WORKERS = "RESIDUE_LAB_WORKERS"
 
 
@@ -62,7 +60,3 @@ def pairwise_sum(parts):
 def fmt_float(x: float) -> str:
     """17-significant-digit decimal representation, '.' decimal point."""
     return format(float(x), ".17g")
-
-
-def as_float_array(x) -> np.ndarray:
-    return np.asarray(x, dtype=float)

@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", help="comma-separated evaluation points")
     p.add_argument("--sweep", help="spheroid parameter range a0:a1:step")
     p.add_argument("--weight", default="one",
-                   choices=[w.value for w in cont.WeightKind if w.value != "custom"])
+                   choices=[w.value for w in cont.WeightKind])
     p.add_argument("--order", type=int, help="quadrature order override")
     p.add_argument("--delta", type=float, help="small-t cutoff override")
     p.add_argument("--fit-degree", type=int, dest="fit_degree",

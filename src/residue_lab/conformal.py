@@ -18,7 +18,6 @@ from ._util import NumericError
 from .manifold.frames import CurvatureFrame, curvature_frame
 from .manifold.quadrature import gauss_on
 from .manifold.shapes import ManifoldSpec
-from .oracles import spheroid_gw, spheroid_r8, spheroid_r8_nu
 from .residues import frame_integral, local_r8_modified, local_r8_nu_modified
 
 
@@ -176,12 +175,6 @@ def energy_breakdown(spec: ManifoldSpec, order: int = 48,
                            r8=r8, r8_nu=r8_nu, identity_residual=resid)
 
 
-def gw_identity(spec: ManifoldSpec, order: int = 48,
-                reduced: str | bool = "auto") -> float:
-    """Residual of the Graham-Witten / residues / Weyl / PCE identity; ~0."""
-    return energy_breakdown(spec, order=order, reduced=reduced).identity_residual
-
-
 def spheroid_principal_curvatures(a: float, theta1, m: int = 4):
     """Principal curvatures of the m-dimensional a-hyper-spheroid along theta1."""
     t = np.asarray(theta1, dtype=float)
@@ -289,9 +282,3 @@ def spheroid_relative_check(a: float, order: int = 400) -> dict:
     return {"r_a": r_a, "r_tilde": r_tilde, "r_a_closed": r_a_closed,
             "r_tilde_closed": r_tilde_closed, "r1": r1,
             "sum_below_2r1": (r_a + r_tilde) < 2.0 * r1 - 1e-12}
-
-
-def spheroid_closed_forms(a: float) -> dict:
-    """Bundle of the tabulated closed forms for convenience in reports."""
-    return {"gw": spheroid_gw(a), "r8": spheroid_r8(a),
-            "r8_nu_tabulated": spheroid_r8_nu(a) if abs(a - 1.0) > 1e-12 else math.nan}

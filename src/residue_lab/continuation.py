@@ -48,7 +48,6 @@ class WeightKind(str, enum.Enum):
     NORMAL_PRODUCT = "normal-product"  # <nu_x, nu_y>; equals NU on oriented hypersurfaces
     REL_BOUNDARY = "relative-boundary"          # <y - x, nu_y>
     REL_BOUNDARY_FLIPPED = "relative-boundary-flipped"  # <x - y, nu_x>
-    CUSTOM = "custom"
 
 
 def _needs_normals(weight: WeightKind) -> bool:
@@ -56,7 +55,7 @@ def _needs_normals(weight: WeightKind) -> bool:
                       WeightKind.REL_BOUNDARY, WeightKind.REL_BOUNDARY_FLIPPED)
 
 
-def _pair_weight(weight: WeightKind, x, nux, y, nuy, custom=None):
+def _pair_weight(weight: WeightKind, x, nux, y, nuy):
     """Weight on pairs: x (N, n) against y (M, n) -> (N, M)."""
     if weight is WeightKind.ONE:
         return np.ones((x.shape[0], y.shape[0]))
@@ -66,8 +65,6 @@ def _pair_weight(weight: WeightKind, x, nux, y, nuy, custom=None):
         return np.einsum("nmk,mk->nm", y[None, :, :] - x[:, None, :], nuy)
     if weight is WeightKind.REL_BOUNDARY_FLIPPED:
         return np.einsum("nmk,nk->nm", x[:, None, :] - y[None, :, :], nux)
-    if weight is WeightKind.CUSTOM:
-        return custom(x, nux, y, nuy)
     raise NumericError(f"unsupported weight {weight}")
 
 
@@ -319,7 +316,7 @@ def _bin_moments(edges, d, w):
     return out
 
 
-def _tail_moments(x, wq, nus, weight, delta, edges, workers=None, custom=None):
+def _tail_moments(x, wq, nus, weight, delta, edges, workers=None):
     """Accumulate (sum w, sum w d, sum w d^2) per tail cell over ordered pairs d >= delta."""
     N = x.shape[0]
     # the chunk size fixes the summation order of the result
@@ -338,7 +335,7 @@ def _tail_moments(x, wq, nus, weight, delta, edges, workers=None, custom=None):
         wmat = wq[idx][:, None] * wq[None, :]
         if weight is not WeightKind.ONE:
             nx = None if nus is None else nus[idx]
-            wmat *= _pair_weight(weight, xs, nx, x, nus, custom=custom)
+            wmat *= _pair_weight(weight, xs, nx, x, nus)
         sel = d >= delta                        # and the near zone
         dv = d[sel]
         del d
@@ -350,7 +347,7 @@ def _tail_moments(x, wq, nus, weight, delta, edges, workers=None, custom=None):
     return acc[0], acc[1], acc[2]
 
 
-def _tail_moments_curve(surf, weight, delta, edges, order, custom):
+def _tail_moments_curve(surf, weight, delta, edges, order):
     """Tail cell moments for closed curves by per-node adapted inner quadrature.
 
     For each outer node the inner arc {y : d(x, y) >= delta} is an interval
@@ -391,8 +388,7 @@ def _tail_moments_curve(surf, weight, delta, edges, order, custom):
         if weight is not WeightKind.ONE:
             nuy = patch.normal(flat) if patch.normal is not None else None
             lam = _pair_weight(weight, x0[None, :],
-                               None if nu0s is None else nu0s[i:i + 1],
-                               y, nuy, custom=custom)[0]
+                               None if nu0s is None else nu0s[i:i + 1], y, nuy)[0]
         wseg = (np.diff(seg_edges)[:, None] * gw[None, :]).reshape(-1)
         ds.append(d)
         ws.append(wx * wseg * sgv * lam)
@@ -472,7 +468,7 @@ def _direction_set(m: int, n_ang: int):
     return np.asarray(dirs), np.asarray(wts)
 
 
-def _near_masses(spec, weight, delta, t_grid, order_sub, n_ang, custom=None):
+def _near_masses(spec, weight, delta, t_grid, order_sub, n_ang):
     """Bin masses of psi on (0, delta] by local polar quadrature around
     each outer node: for every direction in parameter space, root-find the
     radius where the chord distance crosses each t, then integrate the
@@ -497,9 +493,9 @@ def _near_masses(spec, weight, delta, t_grid, order_sub, n_ang, custom=None):
             x0 = patch.chart(u0[None, :])[0]
             if use_implicit:
                 masses += wx * _cap_masses_implicit(surf, x0, weight, t_grid,
-                                                    dirw, gx, gw, custom, n_ang)
+                                                    dirw, gx, gw, n_ang)
                 continue
-            nu0 = (patch.normal(u0[None, :])[0]
+            nu0 = (patch.normal(u0[None, :])
                    if (_needs_normals(weight) and patch.normal is not None) else None)
             J = patch_jacobian(patch, u0[None, :])[0]
             sig = np.linalg.norm(J @ dirs.T, axis=0)  # metric stretch per direction
@@ -520,9 +516,7 @@ def _near_masses(spec, weight, delta, t_grid, order_sub, n_ang, custom=None):
             if weight is not WeightKind.ONE:
                 y = patch.chart(flat)
                 nuy = patch.normal(flat) if patch.normal is not None else None
-                lam = _pair_weight(weight, x0[None, :],
-                                   None if nu0 is None else nu0[None, :],
-                                   y, nuy, custom=custom).reshape(rr.shape)
+                lam = _pair_weight(weight, x0[None, :], nu0, y, nuy).reshape(rr.shape)
             integ = (sgv * lam * rr ** (m - 1)) @ gw             # (nd, nt)
             masses += wx * (dirw @ (integ * rho_star))
     # cumulative caps -> per-bin masses
@@ -626,7 +620,7 @@ def _cap_boundary(imp, x0, nu, e, t):
     return rho, t * np.sin(a)
 
 
-def _cap_masses_implicit(surf, x0, weight, t_grid, dirw, gx, gw, custom, n_ang):
+def _cap_masses_implicit(surf, x0, weight, t_grid, dirw, gx, gw, n_ang):
     """Cap masses around x0 through the ambient tangent graph chart.
 
     Valid for hypersurfaces with a polynomial implicit F. In the tangent
@@ -661,8 +655,7 @@ def _cap_masses_implicit(surf, x0, weight, t_grid, dirw, gx, gw, custom, n_ang):
     lam = 1.0
     if weight is not WeightKind.ONE:
         nuy = grad / np.linalg.norm(grad, axis=1, keepdims=True)
-        lam = _pair_weight(weight, x0[None, :], nu[None, :], y, nuy,
-                           custom=custom).reshape(rr.shape)
+        lam = _pair_weight(weight, x0[None, :], nu[None, :], y, nuy).reshape(rr.shape)
     integ = (dens * lam * rr ** (m - 1)) @ gw
     return dirw @ (integ * rho)
 
@@ -680,12 +673,17 @@ def _chord(patch, u0, x0, dirs, rho):
 def distance_profile(spec: ManifoldSpec, weight: WeightKind = WeightKind.ONE,
                      delta: float | None = None, fit_degree: int | None = None,
                      order: int | None = None, workers: int | None = None,
-                     geodesic: bool = False, custom_weight=None) -> DistanceProfile:
+                     geodesic: bool = False) -> DistanceProfile:
     """Weighted interpoint-distance distribution of a closed spec.
 
+    ``weight`` is a WeightKind or its string value (a ConfigError otherwise);
     delta defaults to 0.2 x estimated reach; the number of even coefficients
     defaults to m//2 + 3 (empirical data) or m//2 + 5 (closed-form data).
     """
+    try:
+        weight = WeightKind(weight)
+    except ValueError:
+        raise ConfigError(f"unknown weight {weight!r}") from None
     surf = spec.surface()
     if surf.kind == "polygon_knot":
         raise NumericError("polygonal knots use the exact edge-pair handler (polygon_beta)")
@@ -696,16 +694,15 @@ def distance_profile(spec: ManifoldSpec, weight: WeightKind = WeightKind.ONE,
         raise NumericError(
             "Grassmann-weighted profiles are implemented for hypersurfaces, where "
             "the weight reduces to <nu_x, nu_y>; for higher codimension use the "
-            "pointwise manifold.nu_weight or a custom weight callback")
+            "pointwise manifold.nu_weight")
     round_params = _round_sphere_params(spec)
     if geodesic:
         if round_params is None or weight is not WeightKind.ONE:
             raise NumericError("geodesic mode is implemented for round spheres, weight one")
         return _geodesic_profile(spec, delta, fit_degree)
-    if round_params is not None and weight is not WeightKind.CUSTOM:
+    if round_params is not None:
         return _exact_profile(spec, weight, delta, fit_degree)
-    return _empirical_profile(spec, weight, delta, fit_degree, order, workers,
-                              custom=custom_weight)
+    return _empirical_profile(spec, weight, delta, fit_degree, order, workers)
 
 
 def _exact_profile(spec, weight, delta, fit_degree) -> DistanceProfile:
@@ -818,8 +815,7 @@ def _geodesic_profile(spec, delta, fit_degree) -> DistanceProfile:
                            metadata={"r": r})
 
 
-def _empirical_profile(spec, weight, delta, fit_degree, order, workers,
-                       custom=None) -> DistanceProfile:
+def _empirical_profile(spec, weight, delta, fit_degree, order, workers) -> DistanceProfile:
     surf = spec.surface()
     m = surf.m
     if order is None:
@@ -835,16 +831,16 @@ def _empirical_profile(spec, weight, delta, fit_degree, order, workers,
     ncell = 4096
     edges = delta + (diam_ub - delta) * np.arange(ncell + 1) / ncell
     if m == 1:
-        tw, twd, twd2 = _tail_moments_curve(surf, weight, delta, edges, order, custom)
+        tw, twd, twd2 = _tail_moments_curve(surf, weight, delta, edges, order)
     else:
         tw, twd, twd2 = _tail_moments(nodes.x, nodes.w, nodes.nu, weight, delta, edges,
-                                      workers=workers, custom=custom)
+                                      workers=workers)
     ncoef = fit_degree if fit_degree is not None else m // 2 + 3
     nbin = max(3 * ncoef + 4, 16)
     t_grid = delta * np.arange(1, nbin + 1) / nbin
     order_sub = max(6, order // 2)
     n_ang = 32
-    masses = _near_masses(spec, weight, delta, t_grid, order_sub, n_ang, custom=custom) / vol
+    masses = _near_masses(spec, weight, delta, t_grid, order_sub, n_ang) / vol
     bin_edges = np.concatenate([[0.0], t_grid])
     coeffs, expo, resid, cond, errs = _fit_even_model(m, bin_edges, masses, ncoef, delta)
     scale = max(abs(coeffs[0]), np.max(np.abs(coeffs)) * 1e-6, 1e-300)
@@ -938,7 +934,7 @@ def _finite_z(z) -> complex:
     return zc
 
 
-def beta_eval(profile: DistanceProfile, z, method: str = "profile") -> BetaEvaluation:
+def beta_eval(profile: DistanceProfile, z) -> BetaEvaluation:
     """Evaluate the continued energy function at z (a ConfigError unless finite).
 
     Inside the pole guard the returned value is the Hadamard finite part and
@@ -951,12 +947,12 @@ def beta_eval(profile: DistanceProfile, z, method: str = "profile") -> BetaEvalu
         res = profile.vol * float(profile.coeffs[j])
         fp = _near_part_finite(profile, pole, j) + _tail_part(profile, pole)
         return BetaEvaluation(z=zc, value=fp, nearest_pole=pole, pole_distance=dist,
-                              residue=res, method=method, at_pole=True, finite_part=fp)
+                              residue=res, method="profile", at_pole=True, finite_part=fp)
     val = _near_part(profile, zc) + _tail_part(profile, zc)
     j = int(round((-pole - profile.m) / 2))
     res = profile.vol * float(profile.coeffs[j]) if 0 <= j < len(profile.coeffs) else 0.0
     return BetaEvaluation(z=zc, value=val, nearest_pole=pole, pole_distance=dist,
-                          residue=res, method=method)
+                          residue=res, method="profile")
 
 
 def residue_from_profile(profile: DistanceProfile, pole: float) -> tuple[float, float]:
@@ -1050,18 +1046,9 @@ def body_beta(body: ManifoldSpec, z, profile: DistanceProfile | None = None,
                               residue=0.0, method="boundary-reduction")
     val = -inner.value / ((zc + 2) * (zc + n))
     pole, dist = _body_pole_distance(prof, n, zc)
-    j = int(round((-pole - n - 1) / 2))
-    res = 0.0
-    if abs(pole + n) < 1e-9:
-        if n == 2:
-            h = 1e-4
-            res = float((-(bnu(h) - bnu(-h)) / (2 * h)).real)
-        else:
-            res = float((-bnu(-n + 2) / (-n + 2)).real)
-    elif 0 <= j < len(prof.coeffs):
-        res = float((-prof.vol * prof.coeffs[j] / ((pole + 2) * (pole + n))))
     return BetaEvaluation(z=zc, value=val, nearest_pole=pole, pole_distance=dist,
-                          residue=res, method="boundary-reduction")
+                          residue=body_residue_from_profile(body, pole, prof),
+                          method="boundary-reduction")
 
 
 def _body_pole_distance(prof: DistanceProfile, n: int, zc: complex):
@@ -1123,16 +1110,6 @@ def relative_beta(body: ManifoldSpec, z, profile: DistanceProfile | None = None,
                           method="boundary-reduction")
 
 
-def relative_residue_from_profile(body: ManifoldSpec, pole: float,
-                                  profile: DistanceProfile | None = None, **kw) -> float:
-    n = body.n
-    prof = profile if profile is not None else relative_profile(body, **kw)
-    if abs(pole + n) < 1e-9:
-        return float(beta_eval(prof, complex(-n)).value.real)
-    rin, _ = residue_from_profile(prof, pole)
-    return float(rin / (pole + n))
-
-
 # ---------------------------------------------------------------------------
 # direct double quadrature
 # ---------------------------------------------------------------------------
@@ -1160,7 +1137,7 @@ def direct_double_quadrature_weighted(spec: ManifoldSpec, z, weight: WeightKind,
     zc = complex(z)
     surf = spec.surface()
     params = _round_sphere_params(surf)
-    if params is not None and weight is not WeightKind.CUSTOM:
+    if params is not None:
         m, r = params
         if zc.real <= -m:
             raise NumericError("direct quadrature converges only for Re z > -m")

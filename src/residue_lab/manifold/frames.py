@@ -7,7 +7,7 @@ derived invariants (mean curvature, scalar curvature, Laplacians).
 
 Exact Taylor expansions are used for shapes carrying an implicit
 description (the polynomial builtins and their Moebius images); everything
-else goes through the finite-difference graph probe.
+else (user patches, ``clifford_torus``, offsets) goes through the graph probe.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .._util import NumericError
 from . import series as _series
 from .probe import GraphProbe
-from .quadrature import normals_on_patch, patch_jacobian
+from .quadrature import patch_jacobian
 from .shapes import ManifoldSpec, Patch
 
 
@@ -288,11 +288,6 @@ def nu_weight(frame_x, frame_y) -> float:
     if Ex.shape != Ey.shape:
         raise ValueError("frames of different shape")
     return float(np.linalg.det(Ex @ Ey.T))
-
-
-def patch_normals(spec: ManifoldSpec, patch: Patch, u) -> np.ndarray:
-    """Outward unit normals; thin wrapper kept close to the frame machinery."""
-    return normals_on_patch(spec.surface(), patch, u)
 
 
 def reach_estimate(spec: ManifoldSpec, order: int = 8) -> float:

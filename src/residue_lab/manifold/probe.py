@@ -3,9 +3,9 @@
 Re-expresses the manifold near a base point as a graph over its tangent
 space by Newton-solving the chart, then extracts derivative tensors of the
 graph function with Richardson-extrapolated central differences. Used
-whenever no exact implicit expansion is available: codimension > 1
-(``clifford_torus``), parallel offsets, user patches, and Moebius images of
-those. Images of the builtin quadrics and tori carry an exact implicit.
+whenever no exact implicit expansion is available: user patches, codimension
+> 1 (``clifford_torus``), parallel offsets, and Moebius images of those.
+Images of the builtin quadrics and tori carry an exact implicit.
 """
 
 from __future__ import annotations
@@ -54,13 +54,12 @@ class GraphProbe:
     is oriented outward when the patch provides one.
     """
 
-    def __init__(self, spec: ManifoldSpec, patch: Patch, u0, newton_steps: int = 24):
+    def __init__(self, spec: ManifoldSpec, patch: Patch, u0):
         self.spec = spec
         self.patch = patch
         self.u0 = np.asarray(u0, dtype=float).reshape(-1)
         self.m = spec.m
         self.n = spec.n
-        self.newton_steps = newton_steps
         self.x0 = patch.chart(self.u0[None, :])[0]
         J = patch_jacobian(patch, self.u0[None, :])[0]  # (n, m)
         # Gram-Schmidt on Jacobian columns
@@ -98,7 +97,7 @@ class GraphProbe:
         S = np.atleast_2d(S)
         A = self.JtE
         U = np.repeat(self.u0[None, :], S.shape[0], axis=0)
-        for _ in range(self.newton_steps):
+        for _ in range(24):
             X = self.patch.chart(U)
             res = (X - self.x0[None, :]) @ self.E.T - S
             U = U - np.linalg.solve(A, res.T).T

@@ -1,9 +1,9 @@
 """Quadrature sampling of manifold specs.
 
 Tensor-product Gauss-Legendre nodes per patch, with weights premultiplied by
-the Riemannian volume element sqrt(det g). Jacobians come from the analytic
-normal field when available, otherwise from Richardson-extrapolated central
-differences of the chart map.
+the Riemannian volume element sqrt(det g). Jacobians are exact where the
+patch carries one (every builtin chart and its Moebius images); user patches
+and offset charts use Richardson-extrapolated central differences.
 """
 
 from __future__ import annotations
@@ -69,11 +69,11 @@ class NodeSet:
         return float(self.w.sum())
 
 
-def patch_jacobian(patch: Patch, u: np.ndarray, h: float = 1e-5) -> np.ndarray:
+def patch_jacobian(patch: Patch, u: np.ndarray) -> np.ndarray:
     """Jacobian d(chart)/du at rows of u, shape (N, n, m).
 
     Uses the analytic Jacobian when the patch carries one, otherwise
-    Richardson-extrapolated central differences.
+    Richardson-extrapolated central differences with step 1e-5.
     """
     u = np.atleast_2d(u)
     if patch.jacobian is not None:
@@ -88,8 +88,8 @@ def patch_jacobian(patch: Patch, u: np.ndarray, h: float = 1e-5) -> np.ndarray:
             cols.append((patch.chart(u + e) - patch.chart(u - e)) / (2.0 * step))
         return np.stack(cols, axis=2)
 
-    j1 = central(h)
-    j2 = central(h / 2.0)
+    j1 = central(1e-5)
+    j2 = central(5e-6)
     return (4.0 * j2 - j1) / 3.0
 
 
@@ -155,12 +155,9 @@ def normals_on_patch(spec: ManifoldSpec, patch: Patch, u: np.ndarray) -> np.ndar
         q, _ = np.linalg.qr(J[i], mode="complete")
         v = q[:, m]
         nu[i] = v
-    # orient outward using an interior reference point when available
-    ref = spec.interior_point
+    # orient outward, away from the centroid (star-shaped surfaces)
     x = patch.chart(u)
-    if ref is None:
-        ref = x.mean(axis=0)  # centroid works for the star-shaped builtins
-    sgn = np.sign(np.einsum("ni,ni->n", nu, x - np.asarray(ref)[None, :]))
+    sgn = np.sign(np.einsum("ni,ni->n", nu, x - x.mean(axis=0)[None, :]))
     sgn[sgn == 0] = 1.0
     return nu * sgn[:, None]
 

@@ -57,7 +57,6 @@ class ManifoldSpec:
     is_body: bool = False
     implicit: Optional[ImplicitPoly] = None
     boundary: Optional["ManifoldSpec"] = None
-    interior_point: Optional[tuple] = None
 
     def __post_init__(self):
         if self.m < 1 or self.n < self.m:
@@ -300,8 +299,17 @@ def clifford_torus(r1: float = 1.0, r2: float = 1.0) -> ManifoldSpec:
         return np.stack([_r1 * np.cos(u[:, 0]), _r1 * np.sin(u[:, 0]),
                          _r2 * np.cos(u[:, 1]), _r2 * np.sin(u[:, 1])], axis=1)
 
+    def jacobian(u, _r1=r1, _r2=r2):
+        u = np.atleast_2d(u)
+        J = np.zeros((len(u), 4, 2))
+        J[:, 0, 0] = -_r1 * np.sin(u[:, 0])
+        J[:, 1, 0] = _r1 * np.cos(u[:, 0])
+        J[:, 2, 1] = -_r2 * np.sin(u[:, 1])
+        J[:, 3, 1] = _r2 * np.cos(u[:, 1])
+        return J
+
     patch = Patch(box=((0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi)), chart=chart,
-                  periodic=(True, True), label="clifford-chart")
+                  periodic=(True, True), label="clifford-chart", jacobian=jacobian)
     return ManifoldSpec(kind="clifford_torus", m=2, n=4, patches=(patch,),
                         params={"r1": r1, "r2": r2})
 
@@ -311,7 +319,7 @@ def ball(n: int, r: float = 1.0) -> ManifoldSpec:
     bnd = sphere(n - 1, r)
     return ManifoldSpec(kind="ball", m=n, n=n, patches=bnd.patches,
                         params={"n": int(n), "r": float(r)}, is_body=True,
-                        boundary=bnd, interior_point=(0.0,) * n)
+                        boundary=bnd)
 
 
 def ellipsoid_body(semiaxes) -> ManifoldSpec:
@@ -319,7 +327,7 @@ def ellipsoid_body(semiaxes) -> ManifoldSpec:
     n = len(tuple(semiaxes))
     return ManifoldSpec(kind="ellipsoid_body", m=n, n=n, patches=bnd.patches,
                         params={"semiaxes": tuple(float(a) for a in semiaxes)},
-                        is_body=True, boundary=bnd, interior_point=(0.0,) * n)
+                        is_body=True, boundary=bnd)
 
 
 def polygon_knot(vertices) -> ManifoldSpec:
@@ -336,21 +344,27 @@ def polygon_knot(vertices) -> ManifoldSpec:
         raise ConfigError(f"polygon_knot has a zero-length edge after vertex "
                           f"{int(np.argmin(lens))} (a repeated vertex)")
     verts = tuple(map(tuple, v))
+    edges = np.roll(v, -1, axis=0) - v
+    cum = np.concatenate([[0.0], np.cumsum(lens)])
 
-    def chart(u, _v=v):
+    def locate(u):
+        # the edge index and arc length along it of each row of u
+        s = np.mod(np.atleast_2d(u)[:, 0], cum[-1])
+        idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(lens) - 1)
+        return idx, s - cum[idx]
+
+    def chart(u):
         # arc-length chart over [0, L); piecewise linear
-        u = np.atleast_2d(u)[:, 0]
-        edges = np.roll(_v, -1, axis=0) - _v
-        lens = np.linalg.norm(edges, axis=1)
-        cum = np.concatenate([[0.0], np.cumsum(lens)])
-        s = np.mod(u, cum[-1])
-        idx = np.searchsorted(cum, s, side="right") - 1
-        idx = np.clip(idx, 0, len(lens) - 1)
-        t = (s - cum[idx]) / lens[idx]
-        return _v[idx] + t[:, None] * edges[idx]
+        idx, s = locate(u)
+        return v[idx] + (s / lens[idx])[:, None] * edges[idx]
+
+    def jacobian(u):
+        idx, _ = locate(u)
+        return (edges[idx] / lens[idx][:, None])[:, :, None]
 
     total = float(lens.sum())
-    patch = Patch(box=((0.0, total),), chart=chart, periodic=(True,), label="polygon-chart")
+    patch = Patch(box=((0.0, total),), chart=chart, periodic=(True,), label="polygon-chart",
+                  jacobian=jacobian)
     return ManifoldSpec(kind="polygon_knot", m=1, n=3, patches=(patch,),
                         params={"vertices": verts})
 
@@ -387,24 +401,27 @@ def parallel_body(body: ManifoldSpec, eps: float) -> ManifoldSpec:
         raise ConfigError("parallel_body needs a body spec")
     if body.kind == "ball":
         return ball(body.params["n"], body.params["r"] + eps)
+    from .quadrature import normals_on_patch
     bnd = body.boundary
     eps = float(eps)
 
-    def make_chart(p: Patch):
-        def chart(u, _p=p, _eps=eps):
-            from .frames import patch_normals
-            x = _p.chart(u)
-            nu = _p.normal(u) if _p.normal is not None else patch_normals(body, _p, u)
-            return x + _eps * nu
-        return chart
+    def make(p: Patch) -> Patch:
+        # parallel hypersurfaces share normal lines: keep the base normals
+        def normal(u, _p=p):
+            return normals_on_patch(bnd, _p, u)
 
-    patches = tuple(Patch(box=p.box, chart=make_chart(p), periodic=p.periodic,
-                          label=p.label + f"+par{eps}") for p in bnd.patches)
+        def chart(u, _p=p):
+            return _p.chart(u) + eps * normal(u)
+
+        return Patch(box=p.box, chart=chart, periodic=p.periodic,
+                     label=p.label + f"+par{eps}", normal=normal)
+
+    patches = tuple(make(p) for p in bnd.patches)
     new_bnd = ManifoldSpec(kind="offset", m=bnd.m, n=bnd.n, patches=patches,
                            params={"base": bnd.kind, "eps": eps})
     return ManifoldSpec(kind="offset_body", m=body.m, n=body.n, patches=patches,
                         params={"base": body.kind, "eps": eps}, is_body=True,
-                        boundary=new_bnd, interior_point=body.interior_point)
+                        boundary=new_bnd)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 
 from ._util import NumericError
 from .manifold import series as _series
-from .manifold.quadrature import sample_quadrature
+from .manifold.quadrature import patch_jacobian, sample_quadrature
 from .manifold.shapes import ImplicitPoly, ManifoldSpec, Patch
 
 GUARD_FRACTION = 1e-2  # minimum distance of samples to an inversion center, x diameter
@@ -25,14 +25,16 @@ class Inversion:
         n2 = np.einsum("ni,ni->n", w, w)
         return c[None, :] + self.radius ** 2 * w / n2[:, None]
 
-    def apply_normal(self, x: np.ndarray, nu: np.ndarray) -> np.ndarray:
-        # the differential reflects across the radial direction; an outward
-        # normal stays outward when the center lies outside the surface and
-        # turns inward when it lies inside (transform_spec restores outward)
+    def differential(self, x: np.ndarray) -> np.ndarray:
+        """rho^2/|w|^2 (I - 2 w w^T/|w|^2) at w = x - center: (N, n, n). The
+        radial reflection turns outward normals inward for a center inside
+        the surface (transform_spec restores outward)."""
         c = np.asarray(self.center, dtype=float)
         w = np.atleast_2d(x) - c[None, :]
-        what = w / np.linalg.norm(w, axis=1, keepdims=True)
-        return nu - 2.0 * np.einsum("ni,ni->n", nu, what)[:, None] * what
+        n2 = np.einsum("ni,ni->n", w, w)
+        what = w / np.sqrt(n2)[:, None]
+        refl = np.eye(len(c)) - 2.0 * what[:, :, None] * what[:, None, :]
+        return (self.radius ** 2 / n2)[:, None, None] * refl
 
 
 @dataclass(frozen=True)
@@ -53,10 +55,10 @@ class Similarity:
         """The rotation part R of x -> s R x + t."""
         return np.eye(n) if self.rotation is None else np.asarray(self.rotation, dtype=float)
 
-    def apply_normal(self, x: np.ndarray, nu: np.ndarray) -> np.ndarray:
-        # a negative scale includes the point reflection x -> -x, which
-        # reverses normals
-        return np.sign(self.scale) * nu @ self.matrix(np.shape(nu)[-1]).T
+    def differential(self, x: np.ndarray) -> np.ndarray:
+        """s R at every row of x: (N, n, n); a negative scale reverses normals."""
+        N, n = np.atleast_2d(x).shape
+        return np.broadcast_to(self.scale * self.matrix(n), (N, n, n))
 
 
 @dataclass(frozen=True)
@@ -70,13 +72,19 @@ class MobiusMap:
             y = s.apply(y)
         return y
 
-    def apply_normal(self, x: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    def differential(self, x: np.ndarray) -> np.ndarray:
+        """The Jacobian of the composition at every row of x: (N, n, n)."""
         y = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.atleast_2d(np.asarray(nu, dtype=float))
+        D = np.eye(y.shape[1])
         for s in self.steps:
-            out = s.apply_normal(y, out)
+            D = s.differential(y) @ D
             y = s.apply(y)
-        return out
+        return np.broadcast_to(D, (len(y),) + D.shape[-2:])
+
+    def apply_normal(self, x: np.ndarray, nu: np.ndarray) -> np.ndarray:
+        """The image unit normal D nu / |D nu| (a conformal D keeps normals normal)."""
+        v = np.einsum("nij,nj->ni", self.differential(x), np.atleast_2d(nu))
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
 
     def check_guard(self, x: np.ndarray):
         y = np.atleast_2d(np.asarray(x, dtype=float))
@@ -166,7 +174,8 @@ def _image_implicit(source_ring, mmap: MobiusMap, sign: float) -> ImplicitPoly:
 
 def transform_spec(spec: ManifoldSpec, mmap: MobiusMap,
                    axis_symmetric: bool = False) -> ManifoldSpec:
-    """Compose every patch with the map; normals are transported alongside.
+    """Compose every patch with the map; Jacobians and normals are pushed
+    forward by the map's differential.
 
     When the source carries an implicit (the builtin quadrics and tori, and
     images of them), the image gets the exact implicit G = F o Phi^-1, so
@@ -188,16 +197,19 @@ def transform_spec(spec: ManifoldSpec, mmap: MobiusMap,
         implicit = _image_implicit(surf.implicit.ring, mmap, sign)
 
     def make(p: Patch) -> Patch:
-        def chart(u, _p=p, _t=mmap):
-            return _t.apply(_p.chart(u))
+        def chart(u, _p=p):
+            return mmap.apply(_p.chart(u))
+
+        def jacobian(u, _p=p):
+            return mmap.differential(_p.chart(u)) @ patch_jacobian(_p, u)
 
         normal = None
         if p.normal is not None:
-            def normal(u, _p=p, _t=mmap):
-                return sign * _t.apply_normal(_p.chart(u), _p.normal(u))
+            def normal(u, _p=p):
+                return sign * mmap.apply_normal(_p.chart(u), _p.normal(u))
 
         return Patch(box=p.box, chart=chart, periodic=p.periodic,
-                     label=p.label + "+mobius", normal=normal)
+                     label=p.label + "+mobius", normal=normal, jacobian=jacobian)
 
     patches = tuple(make(p) for p in surf.patches)
     params = {"base": surf.kind}
@@ -208,12 +220,8 @@ def transform_spec(spec: ManifoldSpec, mmap: MobiusMap,
                             implicit=implicit)
     if not spec.is_body:
         return new_surf
-    interior = None
-    if spec.interior_point is not None:
-        interior = tuple(mmap.apply(np.asarray(spec.interior_point)[None, :])[0])
     return ManifoldSpec(kind="transformed_body", m=spec.m, n=spec.n, patches=patches,
-                        params=params, is_body=True, boundary=new_surf,
-                        interior_point=interior)
+                        params=params, is_body=True, boundary=new_surf)
 
 
 def transformed_curvatures(kappa, p, nu, center=None, radius: float = 1.0):

@@ -114,20 +114,6 @@ def beta_sphere(n: int, z):
             * beta_fn((z + n - 1) / 2.0, (n - 1) / 2.0))
 
 
-def beta_sphere_residue(n: int, z0) -> float:
-    """Residue of beta_sphere(n, .) at z0 = -(n-1) - 2j."""
-    z0 = complex(z0)
-    j = (-(z0.real) - (n - 1)) / 2.0
-    if abs(j - round(j)) > 1e-9 or round(j) < 0:
-        return 0.0
-    j = int(round(j))
-    # gamma((z+n-1)/2) pole at -j; d/dz of the argument is 1/2
-    res_gamma = 2.0 * (-1.0) ** j / math.factorial(j)
-    rest = (2.0 ** (z0 + n - 2) * sphere_volume(n - 1) * sphere_volume(n - 2)
-            * gamma((n - 1) / 2.0) / gamma((z0 + 2 * n - 2) / 2.0))
-    return float((res_gamma * rest).real)
-
-
 def beta_ball(n: int, z):
     """Energy function of the unit n-ball.
 
@@ -171,12 +157,6 @@ def beta_ball_relative(n: int, z):
         raise NumericError(f"beta_ball_relative pole at z={z}")
     return (2.0 ** (z + n - 1) * (z + 2 * n) * sphere_volume(n - 1) * sphere_volume(n - 2)
             / ((n - 1) * (z + n)) * beta_fn((z + n + 1) / 2.0, (n + 1) / 2.0))
-
-
-def beta_ball_relative_residue(n: int, z0) -> float:
-    """Residue of beta_ball_relative(n, .) at z0; equals (z0+2n)/2 * beta_ball residue."""
-    z0 = complex(z0)
-    return float(((z0 + 2 * n) / 2.0).real) * beta_ball_residue(n, z0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import residue_lab.continuation as cont
 import residue_lab.manifold as M
 import residue_lab.oracles as O
-from residue_lab._util import NumericError
+from residue_lab._util import ConfigError, NumericError
 from residue_lab.continuation import ReachError, WeightKind
 
 
@@ -72,6 +75,51 @@ def test_malformed_profile_text_is_a_numeric_error(circle_profile):
     for t in bad:
         with pytest.raises(NumericError, match="unknown profile format"):
             cont.DistanceProfile.from_text(t)
+
+
+_TOKENS = st.sampled_from(["", "0", "1", "-1", "3", "-3", "0.5", "nan", "inf", "-inf",
+                           "1e400", "9" * 30, "x", "RLPROFILE", "tail_cells", "tail_end",
+                           "end", "coeffs", "\n", " "])
+
+
+@st.composite
+def _profile_texts(draw):
+    # arbitrary text, truncations and token mutations of a real to_text()
+    text = cont.distance_profile(M.circle(1.0)).to_text()
+    kind = draw(st.sampled_from(["text", "header", "truncate", "mutate"]))
+    if kind == "text":
+        return draw(st.text(max_size=200))
+    if kind == "header":
+        return "RLPROFILE 1\n" + draw(st.text(max_size=200))
+    if kind == "truncate":
+        return text[:draw(st.integers(0, len(text)))]
+    parts = re.split(r"(\s+)", text)
+    for _ in range(draw(st.integers(1, 4))):
+        k = 2 * draw(st.integers(0, len(parts) // 2 - 1))
+        parts[k] = draw(_TOKENS)
+    return "".join(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_profile_texts())
+def test_from_text_gives_a_profile_or_a_numeric_error(text):
+    try:
+        prof = cont.DistanceProfile.from_text(text)
+    except NumericError:
+        return
+    assert isinstance(prof, cont.DistanceProfile)
+
+
+def test_string_weights_match_their_kinds():
+    ellipse = M.ellipse(1.0, 0.6)
+    by_name = cont.distance_profile(ellipse, weight="nu", order=128)
+    by_kind = cont.distance_profile(ellipse, weight=WeightKind.NU, order=128)
+    assert by_name.to_text() == by_kind.to_text()
+    # the hypersurface-only check sees the string too
+    with pytest.raises(NumericError, match="Grassmann"):
+        cont.distance_profile(M.clifford_torus(), weight="nu")
+    with pytest.raises(ConfigError, match="unknown weight 'custom'"):
+        cont.distance_profile(ellipse, weight="custom")
 
 
 def test_nonfinite_z_is_a_config_error(circle_profile):
@@ -466,7 +514,7 @@ def _cap(surf, t_grid, x0=np.zeros(3), ng=12):
     gx, gw = gauss_rule(ng)
     dirs, dirw = cont._direction_set(surf.m, 32)
     return cont._cap_masses_implicit(surf, x0, WeightKind.ONE, t_grid, dirw,
-                                     0.5 * (gx + 1.0), 0.5 * gw, None, 32)
+                                     0.5 * (gx + 1.0), 0.5 * gw, 32)
 
 
 def _graph_newton_from_zero(surf, radii):
@@ -588,8 +636,7 @@ def test_cap_angle_newton_matches_nested_loop(spec):
         rho, _ = cont._cap_boundary(imp, x0, nu, np.repeat(e, len(t), axis=0),
                                     np.tile(t, len(dirs)))
         assert np.max(np.abs(rho.reshape(rho_ref.shape) / rho_ref - 1.0)) <= 1e-12
-        mass = cont._cap_masses_implicit(spec, x0, WeightKind.ONE, t, dirw, gx, gw,
-                                         None, 32)
+        mass = cont._cap_masses_implicit(spec, x0, WeightKind.ONE, t, dirw, gx, gw, 32)
         assert np.max(np.abs(mass / mass_ref - 1.0)) <= 1e-12
 
 

@@ -176,3 +176,34 @@ def test_negative_scale_keeps_image_normals_outward():
     outward = (fr.x - np.array([1.0, 0.0, 0.0])) / 0.5
     assert np.allclose(fr.nu, outward, atol=1e-12)
     assert np.allclose(img.patches[0].normal(u)[0], outward, atol=1e-12)
+
+
+def test_inversion_differential_is_the_scaled_radial_reflection():
+    # rho^2/|w|^2 (I - 2 w w^T/|w|^2): conformal with factor lam = rho^2/|w|^2,
+    # -lam on the radial direction w, +lam on its orthogonal complement
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(6, 3))
+    inv = MB.Inversion(center=(0.2, -0.1, 0.4), radius=1.3)
+    w = x - np.asarray(inv.center)
+    lam = 1.3 ** 2 / np.einsum("ni,ni->n", w, w)
+    D = inv.differential(x)
+    perp = np.cross(w, rng.normal(size=(6, 3)))
+    for Di, wi, li, pi in zip(D, w, lam, perp):
+        assert np.allclose(Di @ Di.T, li ** 2 * np.eye(3), rtol=0, atol=1e-14 * li ** 2)
+        assert np.allclose(Di @ wi, -li * wi, rtol=0, atol=1e-14 * li * np.linalg.norm(wi))
+        assert np.allclose(Di @ pi, li * pi, rtol=0, atol=1e-14 * li * np.linalg.norm(pi))
+
+
+def test_image_jacobian_matches_central_differences_of_the_image_chart():
+    c, s = math.cos(0.3), math.sin(0.3)
+    rot = ((c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0))
+    mp = MB.MobiusMap((MB.Inversion(center=(0.0, 0.4, 2.5), radius=1.2),
+                       MB.Similarity(-0.7, rot, (0.1, 0.0, -0.2))))
+    patch = MB.transform_spec(M.torus(2.0, 1.0), mp).patches[0]
+    u = np.random.default_rng(5).uniform(0.0, 2 * math.pi, size=(20, 2))
+    J = patch.jacobian(u)
+    h = 1e-5
+    fd = np.stack([(patch.chart(u + h * e) - patch.chart(u - h * e)) / (2 * h)
+                   for e in np.eye(2)], axis=2)
+    assert J.shape == (20, 3, 2)
+    assert np.max(np.abs(J - fd)) <= 1e-8 * np.max(np.abs(J))

@@ -113,3 +113,28 @@ def test_node_sequence_protocol():
     assert np.linalg.norm(first.x) == pytest.approx(1.0, rel=1e-12)
     assert np.linalg.norm(first.nu) == pytest.approx(1.0, rel=1e-12)
     assert sum(n.w for n in nodes) == pytest.approx(nodes.total_weight, rel=1e-14)
+
+
+def test_polygon_jacobian_is_the_unit_edge_tangent():
+    verts = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [2.0, 1.0, 0.5], [0.0, 1.5, -0.2]])
+    patch = M.polygon_knot(verts).patches[0]
+    edges = np.roll(verts, -1, axis=0) - verts
+    lens = np.linalg.norm(edges, axis=1)
+    starts = np.concatenate([[0.0], np.cumsum(lens)[:-1]])
+    for frac in (0.1, 0.5, 0.9):
+        J = patch.jacobian((starts + frac * lens)[:, None])[:, :, 0]
+        assert np.allclose(np.linalg.norm(J, axis=1), 1.0, rtol=0, atol=1e-15)
+        assert np.allclose(J, edges / lens[:, None], rtol=0, atol=1e-15)
+
+
+def test_offset_normals_are_the_base_normals():
+    from residue_lab.manifold.quadrature import patch_grid, patch_jacobian
+    body = M.ellipsoid_body((1.0, 0.8, 0.6))
+    base = body.boundary.patches[0]
+    off = M.parallel_body(body, 0.1).boundary.patches[0]
+    u, _ = patch_grid(base, 6)
+    assert np.array_equal(off.normal(u), base.normal(u))
+    # parallel hypersurfaces share normal lines: the base normal is normal
+    # to the offset chart (whose Jacobian is finite-differenced)
+    tang = np.einsum("nia,ni->na", patch_jacobian(off, u), off.normal(u))
+    assert np.max(np.abs(tang)) < 1e-8

@@ -103,6 +103,14 @@ def test_m8_residues_share_one_frame_pass(monkeypatch):
         assert len(built) == 3 * nodes
 
 
+def test_clifford_residues_from_the_exact_chart_jacobian():
+    # the flat torus S^1 x S^1 in R^4 has area 4 pi^2: R(-2) = 2 pi area
+    assert R.residue_first(M.clifford_torus(1.0, 1.0), order=32) == pytest.approx(
+        8 * math.pi ** 3, rel=1e-13)
+    assert R.residue_second(M.clifford_torus(1.0, 1.0), order=32) == pytest.approx(
+        math.pi ** 3, rel=3e-11)
+
+
 def test_weyl_tube_k2():
     out = R.weyl_tube_k2(M.sphere(2, 1.0), order=24)
     assert out["direct"] == pytest.approx(4 * math.pi, rel=1e-10)
