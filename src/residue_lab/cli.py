@@ -4,8 +4,10 @@ Commands: beta, residues, gw, sweep, verify. Output is deterministic: fixed
 quadrature orders, fixed seeds, 17-significant-digit decimals, so identical
 configurations produce byte-identical files.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 numeric failure (pole guard or reach violation).
+Exit codes: 0 success, 1 verification failure, 2 configuration error
+(including out-of-range flags: --order < 2, --fit-degree < 1, --workers < 1,
+--delta not finite and > 0), 3 numeric failure (pole guard or reach
+violation).
 """
 
 from __future__ import annotations
@@ -57,9 +59,23 @@ def _parse_sweep(arg: str) -> np.ndarray:
 def _env_workers() -> int:
     raw = os.environ.get(ENV_WORKERS, "1")
     try:
-        return int(raw)
+        workers = int(raw)
     except ValueError as exc:
         raise ConfigError(f"{ENV_WORKERS} must be an integer, got {raw!r}") from exc
+    if workers < 1:
+        raise ConfigError(f"{ENV_WORKERS} must be >= 1, got {workers}")
+    return workers
+
+
+def _checked(kind, ok, what: str):
+    """argparse type: ``kind(arg)``, rejected with exit code 2 unless ``ok``."""
+    def parse(arg: str):
+        val = kind(arg)
+        if not ok(val):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {arg!r}")
+        return val
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def _emit(text: str, out: str | None):
@@ -202,13 +218,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", help="spheroid parameter range a0:a1:step")
     p.add_argument("--weight", default="one",
                    choices=[w.value for w in cont.WeightKind])
-    p.add_argument("--order", type=int, help="quadrature order override")
-    p.add_argument("--delta", type=float, help="small-t cutoff override")
-    p.add_argument("--fit-degree", type=int, dest="fit_degree",
+    p.add_argument("--order", help="quadrature order override",
+                   type=_checked(int, lambda v: v >= 2, "an integer >= 2"))
+    p.add_argument("--delta", help="small-t cutoff override",
+                   type=_checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0"))
+    p.add_argument("--fit-degree", dest="fit_degree",
+                   type=_checked(int, lambda v: v >= 1, "an integer >= 1"),
                    help="number of even model coefficients")
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--format", default="csv", choices=["csv", "report"])
-    p.add_argument("--workers", type=int,
+    p.add_argument("--workers", type=_checked(int, lambda v: v >= 1, "an integer >= 1"),
                    help=f"worker threads for pair accumulation (default: ${ENV_WORKERS} or 1)")
     return p
 
@@ -224,8 +243,7 @@ def main(argv=None) -> int:
     try:
         if args.workers is None:
             args.workers = _env_workers()
-        if args.workers > 0:
-            os.environ[ENV_WORKERS] = str(args.workers)
+        os.environ[ENV_WORKERS] = str(args.workers)
         return dispatch[args.cmd](args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")

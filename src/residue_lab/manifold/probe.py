@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 
 from .._util import NumericError
-from .quadrature import patch_jacobian
+from .quadrature import normals_on_patch, patch_jacobian
 from .shapes import ManifoldSpec, Patch
 
 # 1-D central stencils (offset -> coefficient), error O(h^2); tensorized for
@@ -51,7 +51,7 @@ class GraphProbe:
     The tangent basis comes from Gram-Schmidt of the Jacobian columns (so it
     varies continuously with u0 and carries the patch orientation); the
     normal space is the orthogonal complement. For hypersurfaces the normal
-    is oriented outward when the patch provides one.
+    takes the orientation of ``normals_on_patch``.
     """
 
     def __init__(self, spec: ManifoldSpec, patch: Patch, u0):
@@ -78,13 +78,9 @@ class GraphProbe:
         P = np.eye(self.n) - self.E.T @ self.E
         w, V = np.linalg.eigh(P)
         NB = V[:, w > 0.5].T
-        if self.n - self.m == 1:
-            nu = NB[0]
-            if patch.normal is not None:
-                ref = patch.normal(self.u0[None, :])[0]
-                if np.dot(nu, ref) < 0:
-                    nu = -nu
-            NB = nu[None, :]
+        if self.n - self.m == 1 and np.dot(
+                NB[0], normals_on_patch(spec, patch, self.u0[None, :])[0]) < 0:
+            NB = -NB
         self.NB = NB  # (n-m, n)
         self.JtE = self.E @ J  # (m, m), initial Newton matrix
 

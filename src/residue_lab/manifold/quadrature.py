@@ -3,7 +3,9 @@
 Tensor-product Gauss-Legendre nodes per patch, with weights premultiplied by
 the Riemannian volume element sqrt(det g). Jacobians are exact where the
 patch carries one (every builtin chart and its Moebius images); user patches
-and offset charts use Richardson-extrapolated central differences.
+and offset charts use Richardson-extrapolated central differences. A user
+hypersurface patch without a ``normal`` is oriented by its parametrization
+(``normals_on_patch``).
 """
 
 from __future__ import annotations
@@ -143,32 +145,25 @@ def sample_quadrature(spec: ManifoldSpec, order: int, with_normals: bool | None 
 
 
 def normals_on_patch(spec: ManifoldSpec, patch: Patch, u: np.ndarray) -> np.ndarray:
-    """Outward unit normals for a hypersurface patch."""
+    """Unit normals for a hypersurface patch, one row at a time.
+
+    A patch's own ``normal`` wins (every builtin carries the outward one).
+    Otherwise the parametrization orients the patch: nu is the normalized
+    cofactor vector of the Jacobian columns, so det[nu | J] > 0, the
+    outward-normal-first convention of Stokes' theorem (in R^3 also
+    det[J | nu] > 0, nu ~ J_1 x J_2).
+    """
     if patch.normal is not None:
         return patch.normal(u)
     if spec.codim != 1:
         raise NumericError("normals only defined for hypersurfaces")
     J = patch_jacobian(patch, u)
-    N, n, m = J.shape
-    nu = np.empty((N, n))
-    for i in range(N):
-        q, _ = np.linalg.qr(J[i], mode="complete")
-        v = q[:, m]
-        nu[i] = v
-    # orient outward, away from the centroid (star-shaped surfaces)
-    x = patch.chart(u)
-    sgn = np.sign(np.einsum("ni,ni->n", nu, x - x.mean(axis=0)[None, :]))
-    sgn[sgn == 0] = 1.0
-    return nu * sgn[:, None]
-
-
-def integrate(spec: ManifoldSpec, order: int, fn=None) -> float:
-    """Integral of a pointwise function fn(NodeSet) -> (N,) over the spec."""
-    nodes = sample_quadrature(spec, order)
-    if fn is None:
-        return nodes.total_weight
-    vals = fn(nodes)
-    return float(np.dot(nodes.w, vals))
+    if J.shape[1] == 3:
+        cof = np.cross(J[:, :, 0], J[:, :, 1])  # exactly odd under a column swap
+    else:
+        rows = np.arange(J.shape[1])
+        cof = np.stack([(-1) ** i * np.linalg.det(J[:, rows != i, :]) for i in rows], axis=1)
+    return cof / np.linalg.norm(cof, axis=1, keepdims=True)
 
 
 def body_volume(body: ManifoldSpec, order: int) -> float:

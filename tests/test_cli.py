@@ -207,3 +207,27 @@ def test_from_config_gives_a_spec_or_a_config_error(kind, params):
         return
     assert isinstance(spec, shapes.ManifoldSpec)
 
+
+
+_CIRCLE = '{"kind": "circle", "params": {"r": 1.0}}'
+_ELLIPSE = '{"kind": "ellipse", "params": {"a": 1.0, "b": 0.6}}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["--cmd", "beta", "--shape", _ELLIPSE, "--order", "1"],
+    ["--cmd", "beta", "--shape", _ELLIPSE, "--fit-degree", "0"],
+    ["--cmd", "beta", "--shape", _ELLIPSE, "--delta", "0"],
+    ["--cmd", "beta", "--shape", _ELLIPSE, "--delta", "nan"],
+    ["--cmd", "gw", "--shape", '{"kind": "spheroid", "params": {"a": 1.5}}', "--order", "0"],
+    ["--cmd", "beta", "--shape", _CIRCLE, "--order", "-3"],
+    ["--cmd", "beta", "--shape", _CIRCLE, "--workers", "0"],
+], ids=lambda argv: " ".join(argv[-2:]))
+def test_out_of_range_numeric_flags_exit_2(argv, capsys):
+    assert cli.main(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_zero_workers_env_is_config_error(monkeypatch, capsys):
+    monkeypatch.setenv("RESIDUE_LAB_WORKERS", "0")
+    assert cli.main(["--cmd", "beta", "--shape", _CIRCLE, "--z", "1"]) == 2
+    assert "RESIDUE_LAB_WORKERS must be >= 1" in capsys.readouterr().err

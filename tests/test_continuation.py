@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -696,3 +697,79 @@ def test_cap_radius_fixed_point_nonconvergence_raises():
     # step is -c t = -100 radians, and it never settles on the periodic G(a)
     with pytest.raises(NumericError, match="angle Newton"):
         _cap(_paraboloid(100.0), np.array([1.0]))
+
+
+# --- Laurent data of composite energies ---------------------------------------
+
+def _mp_ball(n, z, relative=False):
+    """oracles.beta_ball (or beta_ball_relative) in mpmath arithmetic."""
+    o = [2 * mpmath.pi ** (mpmath.mpf(k + 1) / 2) / mpmath.gamma(mpmath.mpf(k + 1) / 2)
+         for k in (n - 1, n - 2)]
+    val = (2 ** (z + n) * o[0] * o[1] / ((n - 1) * (z + n))
+           * mpmath.beta((z + n + 1) / 2, mpmath.mpf(n + 1) / 2))
+    return val * (z + 2 * n) / 2 if relative else val
+
+
+def _mp_finite_part(f, pole):
+    """lim (f(pole + h) + f(pole - h)) / 2: the 1/h terms cancel, the rest is O(h^2)."""
+    with mpmath.workdps(50):
+        h = mpmath.mpf("1e-20")
+        return float((f(pole + h) + f(pole - h)) / 2)
+
+
+def test_ball2_body_pole_matches_the_closed_form():
+    body = M.ball(2, 1.0)
+    be = cont.body_beta(body, -2.0)
+    assert be.at_pole
+    assert be.residue == pytest.approx(2 * math.pi ** 2, rel=1e-12, abs=0)
+    ref = _mp_finite_part(lambda z: _mp_ball(2, z), -2)
+    assert be.finite_part.real == pytest.approx(ref, rel=1e-12, abs=0)
+    assert be.finite_part.imag == 0.0
+
+
+def test_ball3_removable_point_and_pole_match_the_closed_form():
+    body = M.ball(3, 1.0)
+    prof = cont.body_profile(body)
+    be = cont.body_beta(body, -2.0, profile=prof)
+    assert not be.at_pole
+    assert be.value == pytest.approx(4 * math.pi ** 2, rel=1e-12, abs=0)
+    assert be.value.imag == 0.0
+    for z in (-2.0 + 1e-7, -2.0 - 1e-7):
+        ref = float(_mp_ball(3, mpmath.mpf(z)))
+        assert cont.body_beta(body, z, profile=prof).value.real == pytest.approx(
+            ref, rel=1e-12, abs=0)
+    be = cont.body_beta(body, -3.0, profile=prof)
+    ref = _mp_finite_part(lambda z: _mp_ball(3, z), -3)
+    assert be.finite_part.real == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+def test_relative_finite_part_matches_the_closed_form():
+    body = M.ball(3, 1.0)
+    be = cont.relative_beta(body, -3.0)
+    assert be.at_pole
+    ref = _mp_finite_part(lambda z: _mp_ball(3, z, relative=True), -3)
+    assert be.finite_part.real == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("pole", [-1.0, -2.0])
+def test_polygon_finite_part_matches_richardson(pole):
+    def sym(h):
+        return 0.5 * (cont.polygon_beta(_SQUARE, pole + h).value
+                      + cont.polygon_beta(_SQUARE, pole - h).value).real
+
+    a, b, c = sym(0.02), sym(0.01), sym(0.005)
+    r1, r2 = (4 * b - a) / 3, (4 * c - b) / 3
+    ref = (16 * r2 - r1) / 15
+    be = cont.polygon_beta(_SQUARE, pole)
+    assert be.at_pole
+    assert be.finite_part.real == pytest.approx(ref, rel=0, abs=1e-10)
+
+
+def test_empirical_profile_beyond_four_dimensions_fails_before_sampling(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("sampled an m = 5 surface")
+
+    monkeypatch.setattr(cont, "sample_quadrature", never)
+    monkeypatch.setattr(cont, "reach_estimate", never)
+    with pytest.raises(NumericError, match="m <= 4"):
+        cont.distance_profile(M.ellipsoid((1.0, 1.1, 1.2, 1.3, 1.4, 1.5)))

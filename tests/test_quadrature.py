@@ -138,3 +138,34 @@ def test_offset_normals_are_the_base_normals():
     # to the offset chart (whose Jacobian is finite-differenced)
     tang = np.einsum("nia,ni->na", patch_jacobian(off, u), off.normal(u))
     assert np.max(np.abs(tang)) < 1e-8
+
+
+def _user_torus(swap):
+    R, r = 2.0, 1.0
+
+    def chart(u):
+        u = np.atleast_2d(u)
+        ph, th = (u[:, 1], u[:, 0]) if swap else (u[:, 0], u[:, 1])
+        w = R + r * np.cos(th)
+        return np.stack([w * np.cos(ph), w * np.sin(ph), r * np.sin(th)], axis=1)
+
+    patch = Patch(box=((0.0, 2 * math.pi), (0.0, 2 * math.pi)), chart=chart,
+                  periodic=(True, True), label="user-torus")
+    return ManifoldSpec(kind="user_torus", m=2, n=3, patches=(patch,))
+
+
+def test_user_patch_normals_follow_the_parametrization():
+    from residue_lab.manifold.probe import GraphProbe
+    from residue_lab.manifold.quadrature import normals_on_patch, patch_grid
+    spec, swapped = _user_torus(False), _user_torus(True)
+    patch = spec.patches[0]
+    u, _ = patch_grid(patch, 8)
+    ph, th = u[:, 0], u[:, 1]
+    outward = np.stack([np.cos(ph) * np.cos(th), np.sin(ph) * np.cos(th), np.sin(th)], axis=1)
+    batch = normals_on_patch(spec, patch, u)
+    rows = np.concatenate([normals_on_patch(spec, patch, u[i:i + 1]) for i in range(len(u))])
+    probe = np.stack([GraphProbe(spec, patch, ui).NB[0] for ui in u])
+    for nu in (batch, rows, probe):
+        assert np.allclose(nu, outward, rtol=0, atol=1e-8)
+    # the (theta, phi) chart is the same surface with the opposite orientation
+    assert np.array_equal(normals_on_patch(swapped, swapped.patches[0], u[:, ::-1]), -batch)
