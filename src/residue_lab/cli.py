@@ -232,10 +232,20 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _glue_z(argv: list[str]) -> list[str]:
+    """``--z -2,-3`` as ``--z=-2,-3``: argparse reads a value with a leading
+    '-' as an option unless it looks like one plain negative number."""
+    out = list(argv)
+    for i in range(len(out) - 2, -1, -1):
+        if out[i] == "--z" and not out[i + 1].startswith("--"):
+            out[i:i + 2] = ["--z=" + out[i + 1]]
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_z(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse uses code 2 for usage errors already
         return int(exc.code or 0)
     dispatch = {"beta": cmd_beta, "residues": cmd_residues, "gw": cmd_gw,

@@ -134,7 +134,7 @@ def gw_density(fr: CurvatureFrame) -> float:
             + 7.0 / 16.0 * float(np.sum(Hv ** 2)) ** 2) / 128.0
 
 
-def graham_witten(spec: ManifoldSpec, order: int = 48, reduced: str | bool = "auto") -> float:
+def graham_witten(spec: ManifoldSpec, order: int = 48, reduced: bool = True) -> float:
     """Graham-Witten energy of a closed 4-D submanifold: the integral of
     ``gw_density`` over one pass of order-3 frames.
 
@@ -158,7 +158,7 @@ def _energy_densities(fr: CurvatureFrame) -> tuple:
 
 
 def energy_breakdown(spec: ManifoldSpec, order: int = 48,
-                     reduced: str | bool = "auto") -> EnergyBreakdown:
+                     reduced: bool = True) -> EnergyBreakdown:
     """All conformal energies of a closed 4-D hypersurface, plus the identity
     residual gw - (3/2pi^2)(R_nu + 2 R) + (1/2048)(12 int|W|^2 + 5 Z).
 

@@ -79,7 +79,7 @@ class BetaEvaluation:
     value: complex
     nearest_pole: float
     pole_distance: float
-    residue: float
+    residue: Optional[float]           # set only at a pole
     method: str
     at_pole: bool = False
     finite_part: Optional[complex] = None
@@ -117,13 +117,6 @@ class DistanceProfile:
 
     def poles(self) -> np.ndarray:
         return -(self.m + 2.0 * np.arange(len(self.coeffs)))
-
-    def nearest_pole(self, z) -> tuple[float, float]:
-        zs = complex(z)
-        ps = self.poles()
-        d = np.abs(zs - ps)
-        i = int(np.argmin(d))
-        return float(ps[i]), float(d[i])
 
     # -- serialization ------------------------------------------------------
 
@@ -700,69 +693,77 @@ def distance_profile(spec: ManifoldSpec, weight: WeightKind = WeightKind.ONE,
             "the weight reduces to <nu_x, nu_y>; for higher codimension use the "
             "pointwise manifold.nu_weight")
     round_params = _round_sphere_params(spec)
-    if geodesic:
-        if round_params is None or weight is not WeightKind.ONE:
-            raise NumericError("geodesic mode is implemented for round spheres, weight one")
-        return _geodesic_profile(spec, delta, fit_degree)
+    if geodesic and (round_params is None or weight is not WeightKind.ONE):
+        raise NumericError("geodesic mode is implemented for round spheres, weight one")
     if round_params is not None:
-        return _exact_profile(spec, weight, delta, fit_degree)
+        return _round_profile(spec, weight, delta, fit_degree, geodesic)
     return _empirical_profile(spec, weight, delta, fit_degree, order, workers)
 
 
-def _exact_profile(spec, weight, delta, fit_degree) -> DistanceProfile:
+def _round_profile(spec, weight, delta, fit_degree, geodesic) -> DistanceProfile:
+    """Closed-form profile of a round circle or sphere of radius r.
+
+    Chord distance by default, geodesic (arc-length) distance when
+    ``geodesic``. The tail cells and the spectral ``tail_quad`` integrate in
+    a variable s in which the tail density stays smooth up to the diameter:
+    t = 2r sin(s) for chords, which absorbs the (1 - t^2/4r^2) endpoint
+    factor, and t = s for arcs.
+    """
+    from .oracles import sphere_volume
     surf = spec.surface()
     m, r = _round_sphere_params(spec)
     vol = _round_chord_sphere_volume(m, r)
+    o = sphere_volume(m - 1)
     lam = _round_weight_factor(weight, r)
-    base = _round_chord_density(m, r)
-    if delta is None:
-        delta = 0.2 * r  # reach of the round sphere is r
-    if delta >= 1.6 * r:
-        raise ReachError(f"delta={delta} exceeds the sphere reach {r}")
+    if geodesic:
+        delta = 0.2 * math.pi * r if delta is None else delta
+        diam, nquad, suffix = math.pi * r, 200, "-geodesic"
+
+        def near(t):    # psi'_1,x(t) for d = r arccos(<x, y>/r^2)
+            return o * r ** (m - 1) * np.sin(t / r) ** (m - 1)
+
+        def tail(s):
+            return s, vol * near(s)
+    else:
+        if delta is None:
+            delta = 0.2 * r  # reach of the round sphere is r
+        if delta >= 1.6 * r:
+            raise ReachError(f"delta={delta} exceeds the sphere reach {r}")
+        diam, nquad, suffix = 2.0 * r, 160, ""
+        base = _round_chord_density(m, r)
+
+        def near(t):
+            return lam(t) * base(t)
+
+        def tail(s):    # psi' dt = vol o Lambda (2r sin s)^{m-1} cos^{m-1} s 2r ds
+            t = 2.0 * r * np.sin(s)
+            return t, vol * o * lam(t) * t ** (m - 1) * np.cos(s) ** (m - 1) * 2.0 * r
+
     ncoef = fit_degree if fit_degree is not None else m // 2 + 5
     nbin = max(3 * ncoef, 18)
     edges = delta * np.arange(nbin + 1) / nbin
-    masses = _cell_gauss(edges, 24, lambda ts: (lam(ts) * base(ts),))[0]
+    masses = _cell_gauss(edges, 24, lambda ts: (near(ts),))[0]
     coeffs, expo, resid, cond, errs = _fit_even_model(m, edges, masses, ncoef, delta)
-    tail_edges, tw, twd, twd2 = _exact_tail_cells(m, r, vol, lam, base, delta)
+    ncell = 2048
+    tail_edges = delta + (diam - delta) * np.arange(ncell + 1) / ncell
+    s_edges = tail_edges if geodesic else np.arcsin(np.clip(tail_edges / diam, 0.0, 1.0))
+    tw, twd, twd2 = _cell_gauss(s_edges, 6, lambda s: _moments(*tail(s)))
 
-    from .oracles import sphere_volume
-    o = sphere_volume(m - 1)
+    def tail_quad(z, _s0=float(s_edges[0]), _s1=float(s_edges[-1])):
+        s, ws = gauss_on(_s0, _s1, nquad)
+        t, dens = tail(s)
+        return complex(np.sum(ws * t ** complex(z) * dens))
 
-    def tail_quad(z, _phi0=math.asin(min(1.0, delta / (2.0 * r)))):
-        # t = 2 r sin(phi): psi' dt = vol o Lambda (2r sin)^{m-1} cos^{m-1} 2r dphi
-        ph, wp = gauss_on(_phi0, 0.5 * math.pi, 160)
-        t = 2.0 * r * np.sin(ph)
-        dens = vol * o * lam(t) * t ** (m - 1) * np.cos(ph) ** (m - 1) * 2.0 * r
-        return complex(np.sum(wp * t ** complex(z) * dens))
-
-    return DistanceProfile(m=m, vol=vol, delta=float(delta), diam=2.0 * r,
-                           weight=str(weight.value), mode="exact", coeffs=coeffs,
+    return DistanceProfile(m=m, vol=vol, delta=float(delta), diam=diam,
+                           weight=str(weight.value) + suffix, mode="exact", coeffs=coeffs,
                            fit_residual=resid, fit_condition=cond, coeff_errors=errs,
-                           tail_edges=tail_edges, tail_w=tw, tail_wd=twd,
-                           tail_wd2=twd2, kind=surf.kind, tail_quad=tail_quad,
-                           metadata={"r": r})
+                           tail_edges=tail_edges, tail_w=tw, tail_wd=twd, tail_wd2=twd2,
+                           kind=surf.kind + suffix, tail_quad=tail_quad, metadata={"r": r})
 
 
 def _round_chord_sphere_volume(m, r) -> float:
     from .oracles import sphere_volume
     return sphere_volume(m) * r ** m
-
-
-def _exact_tail_cells(m, r, vol, lam, base, delta, ncell: int = 2048):
-    """Cell moments of the chord density, integrated in phi where t = 2r sin(phi)
-    so the (1 - t^2/4r^2) endpoint factor stays smooth."""
-    from .oracles import sphere_volume
-    o = sphere_volume(m - 1)
-    edges = delta + (2.0 * r - delta) * np.arange(ncell + 1) / ncell
-    phis = np.arcsin(np.clip(edges / (2.0 * r), 0.0, 1.0))
-
-    def moments(ph):
-        t = 2.0 * r * np.sin(ph)
-        return _moments(t, vol * o * lam(t) * t ** (m - 1) * np.cos(ph) ** (m - 1) * 2.0 * r)
-
-    w, wd, wd2 = _cell_gauss(phis, 6, moments)
-    return edges, w, wd, wd2
 
 
 def _moments(t, dens):
@@ -780,43 +781,6 @@ def _cell_gauss(edges, npts, integrand):
     half = 0.5 * (b - a)
     vals = np.stack(integrand(0.5 * (a + b) + half * x))
     return ((half * w)[:, None, :] @ vals[..., None])[..., 0, 0]
-
-
-def _geodesic_profile(spec, delta, fit_degree) -> DistanceProfile:
-    """Geodesic-distance profile on the round sphere: d = r * arccos(<x,y>/r^2)."""
-    surf = spec.surface()
-    m, r = _round_sphere_params(spec)
-    from .oracles import sphere_volume
-    vol = sphere_volume(m) * r ** m
-    o = sphere_volume(m - 1)
-
-    def density(t):
-        t = np.asarray(t, dtype=float)
-        return vol * o * r ** (m - 1) * np.sin(t / r) ** (m - 1)
-
-    if delta is None:
-        delta = 0.2 * math.pi * r
-    ncoef = fit_degree if fit_degree is not None else m // 2 + 5
-    nbin = max(3 * ncoef, 18)
-    edges = delta * np.arange(nbin + 1) / nbin
-    masses = _cell_gauss(edges, 24, lambda ts: (density(ts),))[0] / vol
-    coeffs, expo, resid, cond, errs = _fit_even_model(m, edges, masses, ncoef, delta)
-    diam = math.pi * r
-    ncell = 2048
-    tedges = delta + (diam - delta) * np.arange(ncell + 1) / ncell
-    tw, twd, twd2 = _cell_gauss(tedges, 6, lambda ts: _moments(ts, density(ts)))
-
-    def tail_quad(z, _d0=float(delta), _d1=diam):
-        ph, wp = gauss_on(_d0, _d1, 200)
-        return complex(np.sum(wp * ph ** complex(z) * density(ph)))
-
-    return DistanceProfile(m=m, vol=vol, delta=float(delta), diam=diam,
-                           weight="one-geodesic", mode="exact", coeffs=coeffs,
-                           fit_residual=resid, fit_condition=cond, coeff_errors=errs,
-                           tail_edges=tedges, tail_w=tw, tail_wd=twd, tail_wd2=twd2,
-                           kind=surf.kind + "-geodesic",
-                           tail_quad=tail_quad,
-                           metadata={"r": r})
 
 
 def _empirical_profile(spec, weight, delta, fit_degree, order, workers) -> DistanceProfile:
@@ -924,32 +888,49 @@ def _tail_part(profile: DistanceProfile, z: complex) -> complex:
     return complex(np.sum(f * w + f1 * (wd - mid * w) + 0.5 * f2 * m2))
 
 
-def _finite_z(z) -> complex:
-    zc = complex(z)
-    if not cmath.isfinite(zc):
-        raise ConfigError(f"evaluation point z={z!r} must be finite")
-    return zc
-
-
 def beta_eval(profile: DistanceProfile, z) -> BetaEvaluation:
     """Evaluate the continued energy function at z (a ConfigError unless finite).
 
     Inside the pole guard the returned value is the Hadamard finite part and
-    the evaluation is flagged ``at_pole`` with the residue attached.
+    the evaluation is flagged ``at_pole`` with the residue attached; both
+    are closed form in the model, vol * abar_{2j} and the near part with
+    term j replaced by its finite part.
     """
-    zc = _finite_z(z)
-    pole, dist = profile.nearest_pole(zc)
-    if dist < POLE_GUARD:
+    def laurent(pole):
         j = int(round((-pole - profile.m) / 2))
-        res = profile.vol * float(profile.coeffs[j])
-        fp = _near_part(profile, pole, j) + _tail_part(profile, pole)
+        return (profile.vol * float(profile.coeffs[j]),
+                _near_part(profile, pole, j) + _tail_part(profile, pole))
+
+    return _evaluate(lambda w: _near_part(profile, w) + _tail_part(profile, w),
+                     profile.poles(), z, "profile", laurent)
+
+
+def _evaluate(energy, poles, z, method: str, laurent=None,
+              removable: float | None = None) -> BetaEvaluation:
+    """Evaluate at z (a ConfigError unless finite) an energy with simple poles at ``poles``.
+
+    Inside the pole guard: the residue and finite part from ``laurent(pole)``,
+    by default the contour rule ``_laurent``. Inside the guard of the
+    removable point: the contour's regular part at z, which a difference
+    quotient would lose to cancellation. Elsewhere: ``energy(z)`` alone,
+    with no residue.
+    """
+    zc = complex(z)
+    if not cmath.isfinite(zc):
+        raise ConfigError(f"evaluation point z={z!r} must be finite")
+    dists = [abs(zc - p) for p in poles]
+    i = int(np.argmin(dists))
+    pole, dist = float(poles[i]), float(dists[i])
+    if dist < POLE_GUARD:
+        res, fp = (laurent or (lambda p: _laurent(energy, p)))(pole)
         return BetaEvaluation(z=zc, value=fp, nearest_pole=pole, pole_distance=dist,
-                              residue=res, method="profile", at_pole=True, finite_part=fp)
-    val = _near_part(profile, zc) + _tail_part(profile, zc)
-    j = int(round((-pole - profile.m) / 2))
-    res = profile.vol * float(profile.coeffs[j]) if 0 <= j < len(profile.coeffs) else 0.0
+                              residue=res.real, method=method, at_pole=True, finite_part=fp)
+    if removable is not None and abs(zc - removable) < POLE_GUARD:
+        val = _laurent(energy, removable, zc)[1]
+    else:
+        val = energy(zc)
     return BetaEvaluation(z=zc, value=val, nearest_pole=pole, pole_distance=dist,
-                          residue=res, method="profile")
+                          residue=None, method=method)
 
 
 def _laurent(f, z0, z=None) -> tuple[complex, complex]:
@@ -1016,8 +997,9 @@ def body_beta(body: ManifoldSpec, z, profile: DistanceProfile | None = None,
     """
     n = body.n
     prof = profile if profile is not None else body_profile(body, **kw)
-    return _composite_beta(lambda w: -beta_eval(prof, w + 2).value / ((w + 2) * (w + n)),
-                           [-float(n)] + list(prof.poles() - 2.0), z, removable=-2.0)
+    return _evaluate(lambda w: -beta_eval(prof, w + 2).value / ((w + 2) * (w + n)),
+                     [-float(n)] + list(prof.poles() - 2.0), z, "boundary-reduction",
+                     removable=-2.0)
 
 
 def body_residue_from_profile(body: ManifoldSpec, pole: float,
@@ -1036,33 +1018,8 @@ def relative_beta(body: ManifoldSpec, z, profile: DistanceProfile | None = None,
     """Relative energy function B(z) = (1/(z+n)) int int |x-y|^z <y-x, nu_y>."""
     n = body.n
     prof = profile if profile is not None else relative_profile(body, **kw)
-    return _composite_beta(lambda w: beta_eval(prof, w).value / (w + n),
-                           [-float(n)] + list(prof.poles()), z)
-
-
-def _composite_beta(energy, poles, z, removable: float | None = None) -> BetaEvaluation:
-    """Evaluate a composite energy function with simple poles at ``poles``.
-
-    Inside the pole guard: the residue and finite part from ``_laurent``.
-    Inside the guard of the removable point: the regular part at z, which a
-    difference quotient would lose to cancellation. Elsewhere: the plain
-    value, with the residue at the nearest pole.
-    """
-    zc = _finite_z(z)
-    dists = [abs(zc - p) for p in poles]
-    i = int(np.argmin(dists))
-    pole, dist = float(poles[i]), float(dists[i])
-    res, fp = _laurent(energy, pole)
-    if dist < POLE_GUARD:
-        return BetaEvaluation(z=zc, value=fp, nearest_pole=pole, pole_distance=dist,
-                              residue=res.real, method="boundary-reduction",
-                              at_pole=True, finite_part=fp)
-    if removable is not None and abs(zc - removable) < POLE_GUARD:
-        val = _laurent(energy, removable, zc)[1]
-    else:
-        val = energy(zc)
-    return BetaEvaluation(z=zc, value=val, nearest_pole=pole, pole_distance=dist,
-                          residue=res.real, method="boundary-reduction")
+    return _evaluate(lambda w: beta_eval(prof, w).value / (w + n),
+                     [-float(n)] + list(prof.poles()), z, "boundary-reduction")
 
 
 # ---------------------------------------------------------------------------
@@ -1125,15 +1082,6 @@ def direct_double_quadrature_weighted(spec: ManifoldSpec, z, weight: WeightKind,
 # polygonal knots: exact per-edge-pair continuation
 # ---------------------------------------------------------------------------
 
-def _polygon_edges(vertices):
-    v = np.asarray(vertices, dtype=float)
-    k = v.shape[0]
-    starts = v
-    vecs = np.roll(v, -1, axis=0) - v
-    lens = np.linalg.norm(vecs, axis=1)
-    return starts, vecs, lens, k
-
-
 def _corner_phi_integrals(L1, L2, costh, z, nphi=200):
     """Continuation of int over [0,L1]x[0,L2] of (s^2+t^2-2 s t cos)^{z/2}.
 
@@ -1157,15 +1105,17 @@ def polygon_beta(vertices, z, order: int = 32) -> BetaEvaluation:
     Self pairs and vertex-adjacent pairs are continued in closed form (polar
     split), distant pairs are entire and integrated by tensor Gauss rules.
     """
+    return _evaluate(lambda w: _polygon_value(vertices, w, order), (-1.0, -2.0), z,
+                     "profile")
+
+
+def _polygon_value(vertices, z, order: int) -> complex:
+    """Continued energy of the polygon at z off its poles, summed over edge pairs."""
     zc = complex(z)
-    starts, vecs, lens, k = _polygon_edges(vertices)
-    res1, res2 = _polygon_residues_numeric(vertices)
-    for pole, res in ((-1.0, res1), (-2.0, res2)):
-        if abs(zc - pole) < POLE_GUARD:
-            fp = _laurent(lambda w: polygon_beta(vertices, w, order).value, pole)[1]
-            return BetaEvaluation(z=zc, value=fp, nearest_pole=pole,
-                                  pole_distance=abs(zc - pole), residue=res,
-                                  method="profile", at_pole=True, finite_part=fp)
+    starts = np.asarray(vertices, dtype=float)
+    vecs = np.roll(starts, -1, axis=0) - starts
+    lens = np.linalg.norm(vecs, axis=1)
+    k = len(starts)
     total = 0.0 + 0.0j
     # self pairs
     for L in lens:
@@ -1176,13 +1126,8 @@ def polygon_beta(vertices, z, order: int = 32) -> BetaEvaluation:
     for i in range(k):
         for j in range(i + 1, k):
             if j == i + 1 or (i == 0 and j == k - 1):
-                # adjacent: shared vertex is the end of edge i / start of j (cyclic)
-                if j == i + 1:
-                    shared = starts[j]
-                    d1, d2 = -vecs[i], vecs[j]
-                else:
-                    shared = starts[0]
-                    d1, d2 = vecs[0], -vecs[j]
+                # adjacent: the corner at the end of edge i / start of j (cyclic)
+                d1, d2 = (-vecs[i], vecs[j]) if j == i + 1 else (vecs[0], -vecs[j])
                 L1, L2 = np.linalg.norm(d1), np.linalg.norm(d2)
                 costh = float(np.dot(d1, d2) / (L1 * L2))
                 total += 2.0 * _corner_phi_integrals(L1, L2, costh, zc)
@@ -1192,25 +1137,7 @@ def polygon_beta(vertices, z, order: int = 32) -> BetaEvaluation:
                 d = np.linalg.norm(p[:, None, :] - q[None, :, :], axis=2)
                 total += 2.0 * lens[i] * lens[j] * np.einsum(
                     "i,ij,j->", w01, d ** zc, w01)
-    pole = -1.0 if abs(zc + 1) <= abs(zc + 2) else -2.0
-    res = res1 if pole == -1.0 else res2
-    return BetaEvaluation(z=zc, value=total, nearest_pole=pole,
-                          pole_distance=abs(zc - pole), residue=res, method="profile")
-
-
-def _polygon_residues_numeric(vertices) -> tuple[float, float]:
-    """Residues at -1 and -2 from the exact edge-pair continuation."""
-    starts, vecs, lens, k = _polygon_edges(vertices)
-    r1 = float(2.0 * lens.sum())
-    r2 = -2.0 * k
-    for j in range(k):
-        d1 = -vecs[j - 1]
-        d2 = vecs[j]
-        L1, L2 = np.linalg.norm(d1), np.linalg.norm(d2)
-        costh = float(np.dot(d1, d2) / (L1 * L2))
-        ph, wp = gauss_on(0.0, 0.5 * math.pi, 400)
-        r2 += 2.0 * float(np.sum(wp / (1.0 - np.sin(2.0 * ph) * costh)))
-    return r1, r2
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -246,15 +246,12 @@ def transformed_curvatures(kappa, p, nu, center=None, radius: float = 1.0):
 
 def _quantity(spec: ManifoldSpec, name: str, order: int):
     from . import conformal, continuation, residues
-    surf = spec.surface()
     if name == "residue_m4":
         return residues.residue_second(spec, order=order)
     if name == "nu_residue_m4":
         return residues.nu_residue_second(spec, order=order)
     if name == "residue_m8":
-        reduced = "auto" if (surf.kind in ("sphere", "spheroid")
-                             or surf.params.get("axis_symmetric")) else False
-        return residues.residue_m8(spec, order=order, reduced=reduced)["modified"]
+        return residues.residue_m8(spec, order=order)["modified"]
     if name == "body_residue_m6":
         if not spec.is_body or spec.n != 3:
             raise NumericError("body_residue_m6 needs a 3-dimensional body")

@@ -49,25 +49,27 @@ class ResidueReport:
 # ---------------------------------------------------------------------------
 
 def _line_reducible(surf: ManifoldSpec) -> bool:
-    if surf.kind == "spheroid":
+    """A 4-D shape symmetric under rotations that fix the last ambient axis."""
+    if surf.m != 4:
+        return False
+    if surf.kind in ("sphere", "spheroid"):
         return True
-    if surf.kind == "sphere" and surf.m == 4:
-        return True
+    if surf.kind == "ellipsoid":
+        return len(set(surf.params["semiaxes"][:4])) == 1
     return bool(surf.params.get("axis_symmetric"))
 
 
 _LINE_FIBER_ANGLES = (1.0, 1.3, 0.7)
 
 
-def _integration_nodes(spec: ManifoldSpec, order: int, reduced: str | bool):
+def _integration_nodes(spec: ManifoldSpec, order: int, reduced: bool):
     """(patch index, parameter rows, weights) blocks of ``frame_integral``.
 
     On the reduced line the weights carry the fiber factor 2 pi^2 and divide
     out the fiber part of the volume element at the fixed fiber angles.
     """
     surf = spec.surface()
-    use_line = reduced is True or (reduced == "auto" and _line_reducible(surf))
-    if use_line and surf.m == 4:
+    if reduced and _line_reducible(surf):
         t2, t3, t4 = _LINE_FIBER_ANGLES
         fiber = 2.0 * math.pi ** 2
         denom = math.sin(t2) ** 2 * math.sin(t3)
@@ -84,7 +86,7 @@ def _integration_nodes(spec: ManifoldSpec, order: int, reduced: str | bool):
 
 
 def frame_integral(spec: ManifoldSpec, fn, order: int = 32, max_order: int = 2,
-                   reduced: str | bool = "auto"):
+                   reduced: bool = True):
     """Integral over the spec (boundary of a body) of a frame functional.
 
     ``fn`` maps a CurvatureFrame to a number, or to a tuple or 1-D array of
@@ -93,7 +95,7 @@ def frame_integral(spec: ManifoldSpec, fn, order: int = 32, max_order: int = 2,
     node's frame is built once, at ``max_order``. For 4-dimensional shapes
     that are rotation-symmetric about the last ambient axis, the fiber
     directions integrate out to 2 pi^2 and the integral reduces to a single
-    line of frames.
+    line of frames, unless ``reduced`` is False.
     """
     total = 0.0
     for pi, u, weights in _integration_nodes(spec, order, reduced):
@@ -105,7 +107,7 @@ def frame_integral(spec: ManifoldSpec, fn, order: int = 32, max_order: int = 2,
 
 def volume(spec: ManifoldSpec, order: int = 32) -> float:
     surf = spec.surface()
-    if surf.m == 4 and _line_reducible(surf):
+    if _line_reducible(surf):
         (_, _, weights), = _integration_nodes(spec, order, True)
         total = 0.0
         for w in weights:   # in node order, as frame_integral sums
@@ -142,26 +144,27 @@ def residue_second_surface_form(spec: ManifoldSpec, order: int = 32) -> float:
         spec, lambda fr: float((fr.kappa[0] - fr.kappa[1]) ** 2), order=order, max_order=2)
 
 
-def local_residue_m2(frame: CurvatureFrame) -> float:
-    """Closed-form local residue at z = -m-2 (constant weight), any codimension."""
-    m = frame.m
+def _f2_sums(frame: CurvatureFrame) -> tuple[float, float, float]:
+    """(sum_i |f_ii|^2, sum_{i != j} <f_ii, f_jj>, sum_{i != j} |f_ij|^2)."""
     f2 = frame.f2
     diag = np.einsum("iiq->iq", f2)
     s_ii = float(np.sum(diag ** 2))
     s_iijj = float(np.sum(np.einsum("iq,jq->ij", diag, diag))) - s_ii
     s_ij = float(np.sum(f2 ** 2)) - s_ii
-    return sphere_volume(m - 1) / m * (s_ii / 8.0 - s_iijj / 8.0 + s_ij / 4.0)
+    return s_ii, s_iijj, s_ij
+
+
+def local_residue_m2(frame: CurvatureFrame) -> float:
+    """Closed-form local residue at z = -m-2 (constant weight), any codimension."""
+    s_ii, s_iijj, s_ij = _f2_sums(frame)
+    return sphere_volume(frame.m - 1) / frame.m * (s_ii / 8.0 - s_iijj / 8.0 + s_ij / 4.0)
 
 
 def local_residue_m2_nu(frame: CurvatureFrame) -> float:
     """Closed-form nu-weighted local residue at z = -m-2, any codimension."""
-    m = frame.m
-    f2 = frame.f2
-    diag = np.einsum("iiq->iq", f2)
-    s_ii = float(np.sum(diag ** 2))
-    s_iijj = float(np.sum(np.einsum("iq,jq->ij", diag, diag))) - s_ii
-    s_ij = float(np.sum(f2 ** 2)) - s_ii
-    return sphere_volume(m - 1) / m * (-3.0 * s_ii / 8.0 - s_iijj / 8.0 - s_ij / 4.0)
+    s_ii, s_iijj, s_ij = _f2_sums(frame)
+    return sphere_volume(frame.m - 1) / frame.m * (-3.0 * s_ii / 8.0 - s_iijj / 8.0
+                                                   - s_ij / 4.0)
 
 
 def scalar_from_residues(frame: CurvatureFrame) -> float:
@@ -187,6 +190,13 @@ def nu_residue_second(spec: ManifoldSpec, order: int = 32) -> float:
 # compact bodies
 # ---------------------------------------------------------------------------
 
+def _add_two_orders(rep: ResidueReport, at, order: int, poles) -> ResidueReport:
+    """Add at(order + 4) at the poles, with |at(order + 4) - at(order)| as the error."""
+    for pole, vlo, vhi in zip(poles, at(order), at(order + 4)):
+        rep.add(pole, vhi, "curvature", abs(vhi - vlo))
+    return rep
+
+
 def body_residues(body: ManifoldSpec, order: int = 32) -> ResidueReport:
     """First three residues of a compact body, at z = -n, -n-1, -n-3."""
     if not body.is_body:
@@ -203,11 +213,7 @@ def body_residues(body: ManifoldSpec, order: int = 32) -> ResidueReport:
                 -sphere_volume(n - 2) / (n - 1) * area,
                 sphere_volume(n - 2) / (24.0 * (n * n - 1)) * bh)
 
-    lo = at(order)
-    hi = at(order + 4)
-    for pole, vlo, vhi in zip((-n, -n - 1, -n - 3), lo, hi):
-        rep.add(pole, vhi, "curvature", abs(vhi - vlo))
-    return rep
+    return _add_two_orders(rep, at, order, (-n, -n - 1, -n - 3))
 
 
 def body_residue_n3_crosscheck(body: ManifoldSpec, order: int = 32) -> float:
@@ -238,12 +244,8 @@ def relative_residues(body: ManifoldSpec, order: int = 32) -> ResidueReport:
                 sphere_volume(n - 2) / (2.0 * (n - 1)) * h_int,
                 sphere_volume(n - 2) / (48.0 * (n * n - 1)) * cube)
 
-    lo = at(order)
-    hi = at(order + 4)
-    for pole, vlo, vhi in zip((-n, -n - 1, -n - 3), lo, hi):
-        rep.add(pole, vhi, "curvature", abs(vhi - vlo))
     rep.metadata["difference_field"] = relative_difference_density.__name__
-    return rep
+    return _add_two_orders(rep, at, order, (-n, -n - 1, -n - 3))
 
 
 def relative_difference_density(frame: CurvatureFrame, n: int) -> float:
@@ -278,40 +280,51 @@ def _c_sums(fr: CurvatureFrame):
     return s_ciii2, s_ciij2, s_cijk2, s_ciik_cjjk, s_ciii_cijj
 
 
+def _r8_sums(fr: CurvatureFrame):
+    """(``_kappa_sums``, ``_c_sums``) of a frame, shared by the z = -8 integrands."""
+    return _kappa_sums(fr.kappa), _c_sums(fr)
+
+
+def _r8_kc(ks, cs) -> float:
+    """The kappa/c polynomial of the raw local residue at z = -8, before pi^2/1536."""
+    s_k4, s_k2k2, s_kk3, s_kkk2, prod4 = ks
+    s_ciii2, s_ciij2, s_cijk2, _, _ = cs
+    return (-63.0 * s_k4 - 26.0 * s_k2k2 + 12.0 * s_kk3 + 20.0 * s_kkk2 + 24.0 * prod4
+            + 768.0 * s_ciii2 + 256.0 * s_ciij2 + 128.0 * s_cijk2)
+
+
+def _r8_nu_kc(ks, cs) -> float:
+    """The kappa/c polynomial of the raw nu-weighted local residue at z = -8."""
+    s_k4, s_k2k2, s_kk3, s_kkk2, prod4 = ks
+    s_ciii2, s_ciij2, s_cijk2, s_ciik_cjjk, s_ciii_cijj = cs
+    return (105.0 * s_k4 + 54.0 * s_k2k2 + 60.0 * s_kk3 + 36.0 * s_kkk2 + 24.0 * prod4
+            - 960.0 * s_ciii2 - 192.0 * s_ciij2 - 64.0 * s_cijk2
+            - 128.0 * s_ciik_cjjk - 384.0 * s_ciii_cijj)
+
+
+def _d_sums(fr: CurvatureFrame, h: float) -> tuple[float, float]:
+    """Fourth-order sums of the raw -8 integrands; h is -H (weight one) or +H (nu)."""
+    k = fr.kappa
+    d = fr.d_mono
+    s_d1 = sum((4.0 * k[i] + h) * d(i, i, i, i) for i in range(4))
+    s_d2 = sum((2.0 * k[i] + 2.0 * k[j] + h) * d(i, i, j, j)
+               for i in range(4) for j in range(i + 1, 4))
+    return s_d1, s_d2
+
+
 def local_r8_raw(fr: CurvatureFrame) -> float:
     """Local residue at z = -8, full formula with fourth-order terms (m = 4)."""
-    k = fr.kappa
-    H = float(k.sum())
-    s_k4, s_k2k2, s_kk3, s_kkk2, prod4 = _kappa_sums(k)
-    s_ciii2, s_ciij2, s_cijk2, _, _ = _c_sums(fr)
-    d = fr.d_mono
-    s_d1 = sum((4.0 * k[i] - H) * d(i, i, i, i) for i in range(4))
-    s_d2 = sum((2.0 * k[i] + 2.0 * k[j] - H) * d(i, i, j, j)
-               for i in range(4) for j in range(i + 1, 4))
-    total = (-63.0 * s_k4 - 26.0 * s_k2k2 + 12.0 * s_kk3 + 20.0 * s_kkk2 + 24.0 * prod4
-             + 768.0 * s_ciii2 + 256.0 * s_ciij2 + 128.0 * s_cijk2
-             + 192.0 * s_d1 + 64.0 * s_d2)
-    return total * math.pi ** 2 / 1536.0
+    s_d1, s_d2 = _d_sums(fr, -float(fr.kappa.sum()))
+    return (_r8_kc(*_r8_sums(fr)) + 192.0 * s_d1 + 64.0 * s_d2) * math.pi ** 2 / 1536.0
 
 
 def local_r8_nu_raw(fr: CurvatureFrame) -> float:
     """nu-weighted local residue at z = -8, full formula (m = 4)."""
-    k = fr.kappa
-    H = float(k.sum())
-    s_k4, s_k2k2, s_kk3, s_kkk2, prod4 = _kappa_sums(k)
-    s_ciii2, s_ciij2, s_cijk2, s_ciik_cjjk, s_ciii_cijj = _c_sums(fr)
-    d = fr.d_mono
-    s_d1 = sum((4.0 * k[i] + H) * d(i, i, i, i) for i in range(4))
-    s_d2 = sum((2.0 * k[i] + 2.0 * k[j] + H) * d(i, i, j, j)
-               for i in range(4) for j in range(i + 1, 4))
-    total = (105.0 * s_k4 + 54.0 * s_k2k2 + 60.0 * s_kk3 + 36.0 * s_kkk2 + 24.0 * prod4
-             - 960.0 * s_ciii2 - 192.0 * s_ciij2 - 64.0 * s_cijk2
-             - 128.0 * s_ciik_cjjk - 384.0 * s_ciii_cijj
-             - 192.0 * s_d1 - 64.0 * s_d2)
-    return total * math.pi ** 2 / 1536.0
+    s_d1, s_d2 = _d_sums(fr, float(fr.kappa.sum()))
+    return (_r8_nu_kc(*_r8_sums(fr)) - 192.0 * s_d1 - 64.0 * s_d2) * math.pi ** 2 / 1536.0
 
 
-def _delta_pieces_order3(fr: CurvatureFrame):
+def _delta_pieces_order3(fr: CurvatureFrame, ks, cs):
     """kappa/c parts of Delta|H|^2 and Delta Sc for a 4-D hypersurface.
 
     The omitted fourth-order parts cancel exactly against the d-terms of the
@@ -319,8 +332,8 @@ def _delta_pieces_order3(fr: CurvatureFrame):
     """
     k = fr.kappa
     H = float(k.sum())
-    _, _, s_kk3, s_kkk2, _ = _kappa_sums(k)
-    s_ciii2, s_ciij2, s_cijk2, s_ciik_cjjk, s_ciii_cijj = _c_sums(fr)
+    _, _, s_kk3, s_kkk2, _ = ks
+    _, _, s_cijk2, s_ciik_cjjk, s_ciii_cijj = cs
     c = fr.c_mono
     s_cijj2 = sum(c(i, j, j) ** 2 for i in range(4) for j in range(4) if i != j)
     grad_h_sq = 4.0 * sum(
@@ -336,24 +349,17 @@ def _delta_pieces_order3(fr: CurvatureFrame):
 def local_r8_modified(fr: CurvatureFrame) -> float:
     """Order-3 integrand for the -8 residue: raw kappa/c parts with the
     d-terms traded for the Laplacian corrections (which drop the d's)."""
-    k = fr.kappa
-    s_k4, s_k2k2, s_kk3, s_kkk2, prod4 = _kappa_sums(k)
-    s_ciii2, s_ciij2, s_cijk2, _, _ = _c_sums(fr)
-    kc = (-63.0 * s_k4 - 26.0 * s_k2k2 + 12.0 * s_kk3 + 20.0 * s_kkk2 + 24.0 * prod4
-          + 768.0 * s_ciii2 + 256.0 * s_ciij2 + 128.0 * s_cijk2) * math.pi ** 2 / 1536.0
-    dhsq, dsc = _delta_pieces_order3(fr)
-    return kc - math.pi ** 2 / 384.0 * (3.0 * dhsq - 4.0 * dsc)
+    ks, cs = _r8_sums(fr)
+    dhsq, dsc = _delta_pieces_order3(fr, ks, cs)
+    return (_r8_kc(ks, cs) * math.pi ** 2 / 1536.0
+            - math.pi ** 2 / 384.0 * (3.0 * dhsq - 4.0 * dsc))
 
 
 def local_r8_nu_modified(fr: CurvatureFrame) -> float:
-    k = fr.kappa
-    s_k4, s_k2k2, s_kk3, s_kkk2, prod4 = _kappa_sums(k)
-    s_ciii2, s_ciij2, s_cijk2, s_ciik_cjjk, s_ciii_cijj = _c_sums(fr)
-    kc = (105.0 * s_k4 + 54.0 * s_k2k2 + 60.0 * s_kk3 + 36.0 * s_kkk2 + 24.0 * prod4
-          - 960.0 * s_ciii2 - 192.0 * s_ciij2 - 64.0 * s_cijk2
-          - 128.0 * s_ciik_cjjk - 384.0 * s_ciii_cijj) * math.pi ** 2 / 1536.0
-    dhsq, dsc = _delta_pieces_order3(fr)
-    return kc + math.pi ** 2 / 384.0 * (5.0 * dhsq - 4.0 * dsc)
+    ks, cs = _r8_sums(fr)
+    dhsq, dsc = _delta_pieces_order3(fr, ks, cs)
+    return (_r8_nu_kc(ks, cs) * math.pi ** 2 / 1536.0
+            + math.pi ** 2 / 384.0 * (5.0 * dhsq - 4.0 * dsc))
 
 
 def _m8_residues(spec: ManifoldSpec, pairs, order: int, reduced, name: str) -> list[dict]:
@@ -371,7 +377,7 @@ _R8 = (local_r8_modified, local_r8_raw)
 _R8_NU = (local_r8_nu_modified, local_r8_nu_raw)
 
 
-def residue_m8(spec: ManifoldSpec, order: int = 48, reduced: str | bool = "auto") -> dict:
+def residue_m8(spec: ManifoldSpec, order: int = 48, reduced: bool = True) -> dict:
     """Residue at z = -8 of a closed 4-D hypersurface, both computation paths.
 
     'modified' integrates the order-3 integrand (no fourth derivatives);
@@ -381,12 +387,12 @@ def residue_m8(spec: ManifoldSpec, order: int = 48, reduced: str | bool = "auto"
     return _m8_residues(spec, [_R8], order, reduced, "residue_m8")[0]
 
 
-def nu_residue_m8(spec: ManifoldSpec, order: int = 48, reduced: str | bool = "auto") -> dict:
+def nu_residue_m8(spec: ManifoldSpec, order: int = 48, reduced: bool = True) -> dict:
     return _m8_residues(spec, [_R8_NU], order, reduced, "nu_residue_m8")[0]
 
 
 def m8_residues(spec: ManifoldSpec, order: int = 48,
-                reduced: str | bool = "auto") -> tuple[dict, dict]:
+                reduced: bool = True) -> tuple[dict, dict]:
     """(residue_m8, nu_residue_m8) from one frame pass; each value is
     bit-identical to its separate call."""
     return tuple(_m8_residues(spec, [_R8, _R8_NU], order, reduced, "m8_residues"))

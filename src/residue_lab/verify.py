@@ -79,7 +79,7 @@ def _eb(label: str, order: int = 48):
 @lru_cache(maxsize=None)
 def _eb_scaled(c: float, order: int = 48):
     spec = shapes.ellipsoid(tuple(c * s for s in (1, 1, 1, 1, math.sqrt(2))))
-    return conformal.energy_breakdown(spec, order=order, reduced=True)
+    return conformal.energy_breakdown(spec, order=order)
 
 
 @lru_cache(maxsize=None)
@@ -256,7 +256,7 @@ def check_mobius() -> list[CheckResult]:
         out.append(_check(f"homogeneity-torus-R(-2)-c={c:g}",
                           _rel(big1, c ** (-2 + 4) * base1), 1e-8))
         r8c = res.residue_m8(shapes.ellipsoid(tuple(c * s for s in (1, 1, 1, 1, math.sqrt(2)))),
-                             order=48, reduced=True)["modified"]
+                             order=48)["modified"]
         r8 = _spheroid_r8(math.sqrt(2))["modified"]
         out.append(_check(f"homogeneity-spheroid-R(-8)-c={c:g}", _rel(r8c, r8), 1e-8))
     rep8 = _mobius_report("spheroid-r8")

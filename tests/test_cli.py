@@ -188,6 +188,15 @@ def test_nonfinite_z_is_config_error(z, capsys):
     assert "must be finite" in capsys.readouterr().err
 
 
+def test_z_list_with_a_leading_negative_number_in_two_tokens(capsys):
+    base = ["--cmd", "beta", "--shape", '{"kind": "circle"}']
+    assert run_cli(base + ["--z", "-2,-3"], capsys) == run_cli(base + ["--z=-2,-3"], capsys)
+    code, out = run_cli(base + ["--z=-2,-3"], capsys)
+    assert code == 0 and len(out.splitlines()) == 3
+    assert cli.main(base + ["--z", "--cmd", "beta"]) == 2
+    assert cli.main(base + ["--z"]) == 2
+
+
 _VALUES = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(-3, 6),
                     st.booleans(), st.none(), st.text(max_size=3),
                     st.lists(st.floats(-3, 3), max_size=5),

@@ -323,16 +323,14 @@ _SQUARE = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]
 
 
 def test_polygon_residues_match_oracle():
-    r1o, r2o = O.polygon_knot_residues(_SQUARE)
-    r1n, r2n = cont._polygon_residues_numeric(_SQUARE)
-    assert r1n == pytest.approx(r1o, rel=1e-12)
-    assert r2n == pytest.approx(r2o, rel=1e-9)
-    rng = np.random.default_rng(11)
-    poly = rng.normal(size=(5, 3))
-    r1o, r2o = O.polygon_knot_residues(poly)
-    r1n, r2n = cont._polygon_residues_numeric(poly)
-    assert r1n == pytest.approx(r1o, rel=1e-12)
-    assert r2n == pytest.approx(r2o, rel=1e-9)
+    # the seed-29 6-gon has a sharp corner
+    polys = [_SQUARE] + [np.random.default_rng(seed).normal(size=(k, 3))
+                         for seed, k in ((11, 5), (3, 6), (29, 6))]
+    for poly in polys:
+        for pole, ref in zip((-1.0, -2.0), O.polygon_knot_residues(poly)):
+            be = cont.polygon_beta(poly, pole)
+            assert be.at_pole
+            assert be.residue == pytest.approx(ref, rel=1e-13, abs=0)
 
 
 def test_polygon_beta_against_brute_quadrature():
@@ -477,19 +475,20 @@ def test_tail_moments_match_reference(torus_spec):
 def test_exact_tail_cells_match_per_cell_dot():
     from residue_lab.manifold.quadrature import gauss_on
     m, r, delta = 2, 1.3, 0.26
+    prof = cont.distance_profile(M.sphere(m, r), weight=WeightKind.NU, delta=delta)
     vol = cont._round_chord_sphere_volume(m, r)
     lam = cont._round_weight_factor(WeightKind.NU, r)
-    base = cont._round_chord_density(m, r)
-    edges, w, wd, wd2 = cont._exact_tail_cells(m, r, vol, lam, base, delta, ncell=256)
+    edges = prof.tail_edges
+    assert len(edges) == 2049
     phis = np.arcsin(np.clip(edges / (2.0 * r), 0.0, 1.0))
     o = O.sphere_volume(m - 1)
-    for k in range(256):
+    for k in range(len(edges) - 1):
         ph, wp = gauss_on(phis[k], phis[k + 1], 6)
         t = 2.0 * r * np.sin(ph)
         dens = vol * o * lam(t) * t ** (m - 1) * np.cos(ph) ** (m - 1) * 2.0 * r
-        assert (w[k], wd[k], wd2[k]) == (float(np.dot(wp, dens)),
-                                         float(np.dot(wp, dens * t)),
-                                         float(np.dot(wp, dens * t * t)))
+        assert (prof.tail_w[k], prof.tail_wd[k], prof.tail_wd2[k]) == (
+            float(np.dot(wp, dens)), float(np.dot(wp, dens * t)),
+            float(np.dot(wp, dens * t * t)))
 
 
 # --- convergence checks ---------------------------------------------------------
@@ -749,6 +748,38 @@ def test_relative_finite_part_matches_the_closed_form():
     assert be.at_pole
     ref = _mp_finite_part(lambda z: _mp_ball(3, z, relative=True), -3)
     assert be.finite_part.real == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+def test_off_pole_rows_carry_no_residue(circle_profile):
+    body = M.ball(2, 1.0)
+    rows = (cont.beta_eval(circle_profile, -0.5),
+            cont.body_beta(body, -0.5, profile=cont.body_profile(body)),
+            cont.relative_beta(body, -0.5, profile=cont.relative_profile(body)),
+            cont.polygon_beta(_SQUARE, -1.5))
+    for be in rows:
+        assert not be.at_pole
+        assert be.residue is None
+
+
+def test_composite_rows_run_the_contour_only_at_a_pole(monkeypatch):
+    body = M.ball(3, 1.0)
+    profiles = {cont.body_beta: cont.body_profile(body),
+                cont.relative_beta: cont.relative_profile(body)}
+    calls = []
+    beta_eval = cont.beta_eval
+
+    def counted(profile, z):
+        calls.append(z)
+        return beta_eval(profile, z)
+
+    monkeypatch.setattr(cont, "beta_eval", counted)
+    # -3 is a pole of both; -2 is the body's removable point and a relative pole
+    for fn, prof in profiles.items():
+        for z, count in ((-0.5, 1), (-2.5, 1), (-3.0, cont._CONTOUR_NODES),
+                         (-2.0, cont._CONTOUR_NODES)):
+            calls.clear()
+            fn(body, z, profile=prof)
+            assert len(calls) == count, (fn.__name__, z)
 
 
 @pytest.mark.parametrize("pole", [-1.0, -2.0])

@@ -61,8 +61,8 @@ def test_residue_report_serialization():
 
 def test_vector_integrand_matches_scalar_calls():
     fns = (lambda fr: fr.H, lambda fr: fr.hs_norm_sq, lambda fr: fr.scalar_curvature)
-    cases = ((M.torus(2.0, 1.0), 12, 2, "auto"),            # patch grid
-             (M.spheroid(1.7), 16, 3, "auto"),              # reduced line
+    cases = ((M.torus(2.0, 1.0), 12, 2, True),              # patch grid
+             (M.spheroid(1.7), 16, 3, True),                # reduced line
              (M.spheroid(1.7), 3, 2, False))                # 4-parameter grid
     for spec, order, max_order, reduced in cases:
         vec = R.frame_integral(spec, lambda fr: [f(fr) for f in fns], order=order,
@@ -92,7 +92,7 @@ def test_m8_residues_share_one_frame_pass(monkeypatch):
         return curvature_frame(*args, **kw)
 
     monkeypatch.setattr(R, "curvature_frame", counting_frame)
-    for spec, order, reduced in ((M.spheroid(1.7), 16, "auto"),   # reduced line
+    for spec, order, reduced in ((M.spheroid(1.7), 16, True),     # reduced line
                                  (M.spheroid(1.7), 3, False)):    # 4-parameter grid
         built.clear()
         r8, r8nu = R.m8_residues(spec, order=order, reduced=reduced)
@@ -182,6 +182,20 @@ def test_residue_m8_sphere_and_duality():
     from residue_lab.oracles import beta_ball_residue
     dual = -(-8.0) * (-8.0 + 3.0) * beta_ball_residue(5, -10)
     assert r8nu["modified"] == pytest.approx(dual, rel=1e-12)
+
+
+def test_line_reduction_only_on_rotation_symmetric_shapes():
+    # a generic ellipsoid has no fiber symmetry, so reduced=True keeps the grid
+    el = M.ellipsoid((1.0, 1.2, 0.9, 1.1, 1.3))
+    kw = dict(order=5, max_order=2)
+    assert R.frame_integral(el, lambda fr: 1.0, reduced=True, **kw) == R.frame_integral(
+        el, lambda fr: 1.0, reduced=False, **kw)
+    # an ellipsoid with four equal semiaxes is a scaled spheroid: it is reduced
+    sp = M.ellipsoid((2.0, 2.0, 2.0, 2.0, 2.0 * math.sqrt(2)))
+    assert R._line_reducible(sp) and not R._line_reducible(el)
+    line = R.frame_integral(sp, lambda fr: 1.0, order=24, max_order=2)
+    assert line == pytest.approx(2.0 ** 4 * R.volume(M.spheroid(math.sqrt(2)), order=24),
+                                 rel=1e-12)
 
 
 def test_residue_m8_full_grid_path():
