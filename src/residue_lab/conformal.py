@@ -18,7 +18,7 @@ from ._util import NumericError
 from .manifold.frames import CurvatureFrame, curvature_frame
 from .manifold.quadrature import gauss_on
 from .manifold.shapes import ManifoldSpec
-from .residues import frame_integral, local_r8_modified, local_r8_nu_modified
+from .residues import frame_integral, r8_modified_densities
 
 
 @dataclass
@@ -154,7 +154,7 @@ def _energy_densities(fr: CurvatureFrame) -> tuple:
     """(gw, |W|^2, X, q, R(-8), R_nu(-8)) densities, the last two order-3 modified."""
     k = fr.kappa
     return (gw_density(fr), weyl_norm_hyp(k), chern_density(k), q_energy(k),
-            local_r8_modified(fr), local_r8_nu_modified(fr))
+            *r8_modified_densities(fr))
 
 
 def energy_breakdown(spec: ManifoldSpec, order: int = 48,

@@ -78,7 +78,6 @@ class BetaEvaluation:
     z: complex
     value: complex
     nearest_pole: float
-    pole_distance: float
     residue: Optional[float]           # set only at a pole
     method: str
     at_pole: bool = False
@@ -202,16 +201,20 @@ class DistanceProfile:
 # round-sphere closed-form distributions
 # ---------------------------------------------------------------------------
 
-def _round_chord_density(m: int, r: float):
-    """psi'_1,x(t) for the round m-sphere of radius r under chord distance;
-    o_{m-1} t^(m-1) (1 - t^2/4r^2)^((m-2)/2) on [0, 2r]."""
+def _round_near_density(m: int, r: float, weight: WeightKind, geodesic: bool):
+    """psi'_1,x(t) for the round m-sphere of radius r: o_{m-1} Lambda(t)
+    t^(m-1) (1 - t^2/4r^2)^((m-2)/2) on [0, 2r] under chord distance, and
+    o_{m-1} r^(m-1) sin(t/r)^(m-1) on [0, pi r] under arc length (weight one)."""
     from .oracles import sphere_volume
     o = sphere_volume(m - 1)
+    if geodesic:
+        return lambda t: o * r ** (m - 1) * np.sin(t / r) ** (m - 1)
+    lam = _round_weight_factor(weight, r)
 
     def density(t):
         t = np.asarray(t, dtype=float)
         c = np.clip(1.0 - t * t / (4.0 * r * r), 0.0, None)
-        return o * t ** (m - 1) * c ** ((m - 2) / 2.0)
+        return lam(t) * (o * t ** (m - 1) * c ** ((m - 2) / 2.0))
 
     return density
 
@@ -480,7 +483,7 @@ def _near_masses(spec, weight, delta, t_grid, order_sub, n_ang):
     masses = np.zeros(nbin)
     tmax = float(t_grid[-1])
     nd = len(dirs)
-    use_implicit = surf.implicit is not None and surf.implicit.value is not None         and surf.codim == 1
+    use_implicit = surf.implicit is not None and surf.codim == 1
     for pi, patch in enumerate(surf.patches):
         from .manifold.quadrature import patch_grid, volume_element
         u0s, wp = patch_grid(patch, order_sub)
@@ -567,9 +570,9 @@ def _graph_f(imp, base, nu, f):
     floor = 1e-10 * max(1.0, np.max(np.abs(base)))
     last = math.inf
     for _ in range(60):
-        y = base + f[:, None] * nu[None, :]
-        slope = imp.gradient(y) @ nu
-        step = imp.value(y) / np.where(np.abs(slope) < 1e-300, 1e-300, slope)
+        F, g = imp.value_and_gradient(base + f[:, None] * nu[None, :])
+        slope = g @ nu
+        step = F / np.where(np.abs(slope) < 1e-300, 1e-300, slope)
         f = f - step
         smax = np.max(np.abs(step))
         if smax < 1e-14 or (smax >= last and smax < floor):
@@ -596,10 +599,10 @@ def _cap_boundary(imp, x0, nu, e, t):
     for _ in range(60):
         c, s = np.cos(a), np.sin(a)
         y = x0[None, :] + (t * c)[:, None] * e + (t * s)[:, None] * nu[None, :]
-        g = imp.gradient(y)
+        F, g = imp.value_and_gradient(y)
         gn = g @ nu
         slope = t * (c * gn - s * np.einsum("ij,ij->i", g, e))
-        step = imp.value(y) / np.where(np.abs(slope) < 1e-300, 1e-300, slope)
+        step = F / np.where(np.abs(slope) < 1e-300, 1e-300, slope)
         a = a - step
         disp = np.max(t * np.abs(step))
         if disp < 1e-14 or (disp >= last and disp < floor):
@@ -715,12 +718,10 @@ def _round_profile(spec, weight, delta, fit_degree, geodesic) -> DistanceProfile
     vol = _round_chord_sphere_volume(m, r)
     o = sphere_volume(m - 1)
     lam = _round_weight_factor(weight, r)
+    near = _round_near_density(m, r, weight, geodesic)
     if geodesic:
         delta = 0.2 * math.pi * r if delta is None else delta
         diam, nquad, suffix = math.pi * r, 200, "-geodesic"
-
-        def near(t):    # psi'_1,x(t) for d = r arccos(<x, y>/r^2)
-            return o * r ** (m - 1) * np.sin(t / r) ** (m - 1)
 
         def tail(s):
             return s, vol * near(s)
@@ -730,10 +731,6 @@ def _round_profile(spec, weight, delta, fit_degree, geodesic) -> DistanceProfile
         if delta >= 1.6 * r:
             raise ReachError(f"delta={delta} exceeds the sphere reach {r}")
         diam, nquad, suffix = 2.0 * r, 160, ""
-        base = _round_chord_density(m, r)
-
-        def near(t):
-            return lam(t) * base(t)
 
         def tail(s):    # psi' dt = vol o Lambda (2r sin s)^{m-1} cos^{m-1} s 2r ds
             t = 2.0 * r * np.sin(s)
@@ -831,19 +828,20 @@ def evenness_diagnostic(spec: ManifoldSpec, profile: DistanceProfile,
                         weight: WeightKind = WeightKind.ONE) -> float:
     """Refit the small-t model allowing odd powers; return max |odd| / abar_0.
 
-    Exact-mode profiles refit their closed-form bins; empirical profiles are
-    rebuilt at the stored order.
+    Exact-mode profiles refit the closed-form bins of their own weight and
+    distance (chord or arc); empirical profiles are rebuilt at the stored
+    order.
     """
     m = profile.m
     ncoef = len(profile.coeffs)
     if profile.mode == "exact":
-        r = profile.metadata["r"]
-        lam = _round_weight_factor(WeightKind(profile.weight), r) \
-            if profile.weight in [w.value for w in WeightKind] else (lambda t: 1.0)
-        base = _round_chord_density(m, r)
+        geodesic = profile.weight.endswith("-geodesic")
+        near = _round_near_density(m, profile.metadata["r"],
+                                   WeightKind(profile.weight.removesuffix("-geodesic")),
+                                   geodesic)
         nbin = max(3 * ncoef, 18)
         edges = profile.delta * np.arange(nbin + 1) / nbin
-        masses = profile.vol * _cell_gauss(edges, 24, lambda ts: (lam(ts) * base(ts),))[0]
+        masses = profile.vol * _cell_gauss(edges, 24, lambda ts: (near(ts),))[0]
     else:
         nbin = max(3 * (2 * ncoef) + 4, 24)
         t_grid = profile.delta * np.arange(1, nbin + 1) / nbin
@@ -923,14 +921,14 @@ def _evaluate(energy, poles, z, method: str, laurent=None,
     pole, dist = float(poles[i]), float(dists[i])
     if dist < POLE_GUARD:
         res, fp = (laurent or (lambda p: _laurent(energy, p)))(pole)
-        return BetaEvaluation(z=zc, value=fp, nearest_pole=pole, pole_distance=dist,
-                              residue=res.real, method=method, at_pole=True, finite_part=fp)
+        return BetaEvaluation(z=zc, value=fp, nearest_pole=pole, residue=res.real,
+                              method=method, at_pole=True, finite_part=fp)
     if removable is not None and abs(zc - removable) < POLE_GUARD:
         val = _laurent(energy, removable, zc)[1]
     else:
         val = energy(zc)
-    return BetaEvaluation(z=zc, value=val, nearest_pole=pole, pole_distance=dist,
-                          residue=None, method=method)
+    return BetaEvaluation(z=zc, value=val, nearest_pole=pole, residue=None,
+                          method=method)
 
 
 def _laurent(f, z0, z=None) -> tuple[complex, complex]:

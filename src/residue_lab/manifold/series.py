@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -63,14 +64,17 @@ def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.bincount(dst, weights=terms, minlength=a.size).reshape(a.shape)
 
 
-def powers(a: np.ndarray, max_pow: int) -> list[np.ndarray]:
-    """[a^0, a^1, ..., a^max_pow] truncated."""
-    m = a.ndim
-    deg = a.shape[0] - 1
-    out = [const(m, deg, 1.0)]
-    for _ in range(max_pow):
-        out.append(mul(out[-1], a))
+def shift(a: np.ndarray, c: float) -> np.ndarray:
+    """a + c: a copy with c added to the constant term."""
+    out = a.copy()
+    out[(0,) * a.ndim] += c
     return out
+
+
+# The pointwise arithmetic with the same interface as this module (``mul``,
+# ``inverse``, ``shift``): a polynomial written against one runs on arrays of
+# points with ``POINTS`` and on truncated series with the module itself.
+POINTS = SimpleNamespace(mul=np.multiply, inverse=np.reciprocal, shift=np.add)
 
 
 def inverse(a: np.ndarray) -> np.ndarray:

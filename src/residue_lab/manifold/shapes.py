@@ -16,6 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .._util import ConfigError
+from . import series
 
 
 @dataclass(frozen=True)
@@ -34,15 +35,27 @@ class ImplicitPoly:
     """Implicit description F(x) = 0 of a hypersurface, F < 0 inside.
 
     F is a polynomial for the builtin shapes and F o Phi^-1 for their
-    Moebius images (``mobius.transform_spec``). ``gradient`` is the outward (un-normalized) normal field; ``ring``
-    evaluates F, and grad F on request, on stacked coordinate series, from
-    which ``series.implicit_graph`` builds the exact Taylor series of the
-    graph function over a tangent frame; ``value`` evaluates F itself (used
-    for pointwise graph solves).
+    Moebius images, written once as ``poly(X, grad, ar)``: F, or (F, grad F)
+    when ``grad`` is set, on stacked coordinates X of shape (n, ...), in the
+    arithmetic ``ar`` (``mul``, ``inverse``, ``shift``). ``ring`` runs it on
+    truncated series (the ``series`` module, for ``series.implicit_graph``),
+    the other methods on (N, n) point rows (``series.POINTS``). grad F is the
+    outward (un-normalized) normal field.
     """
-    gradient: Callable[[np.ndarray], np.ndarray]
-    ring: Callable[[np.ndarray, bool], object]
-    value: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    poly: Callable
+
+    def ring(self, X: np.ndarray, grad: bool):
+        return self.poly(X, grad, series)
+
+    def value(self, x: np.ndarray) -> np.ndarray:
+        return self.poly(np.ascontiguousarray(np.atleast_2d(x).T), False, series.POINTS)
+
+    def value_and_gradient(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        F, g = self.poly(np.ascontiguousarray(np.atleast_2d(x).T), True, series.POINTS)
+        return F, g.T
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return self.value_and_gradient(x)[1]
 
 
 @dataclass(frozen=True)
@@ -127,23 +140,13 @@ def _sphere_periodic(m: int) -> tuple:
 
 
 def _diag_quadric_implicit(inv_sq: np.ndarray) -> ImplicitPoly:
-    from . import series as _series
-
-    def gradient(x):
-        return 2.0 * np.atleast_2d(x) * inv_sq[None, :]
-
-    def value(x):
-        x = np.atleast_2d(x)
-        return np.einsum("ni,i,ni->n", x, inv_sq, x) - 1.0
-
-    def ring(X, grad):
-        F = np.tensordot(inv_sq, np.stack([_series.mul(x, x) for x in X]), axes=1)
-        F[(0,) * F.ndim] -= 1.0
+    def poly(X, grad, ar):
+        F = ar.shift(np.tensordot(inv_sq, np.stack([ar.mul(x, x) for x in X]), axes=1), -1.0)
         if not grad:
             return F
         return F, 2.0 * inv_sq.reshape((-1,) + (1,) * F.ndim) * X
 
-    return ImplicitPoly(gradient=gradient, ring=ring, value=value)
+    return ImplicitPoly(poly)
 
 
 def _positive_lengths(kind: str, *lengths) -> tuple[float, ...]:
@@ -242,32 +245,15 @@ def torus(R: float = 2.0, r: float = 1.0) -> ManifoldSpec:
         return np.stack([np.cos(th) * np.cos(ph), np.cos(th) * np.sin(ph),
                          np.sin(th)], axis=1)
 
-    from . import series as _series
-
-    def gradient(x, _R=R, _r=r):
-        x = np.atleast_2d(x)
-        # per-coordinate squares: the same left-to-right sum as (x ** 2).sum(axis=1)
-        s = x[:, 0] ** 2 + x[:, 1] ** 2 + x[:, 2] ** 2 + _R ** 2 - _r ** 2
-        g = 4.0 * s[:, None] * x
-        g[:, 0] -= 8.0 * _R ** 2 * x[:, 0]
-        g[:, 1] -= 8.0 * _R ** 2 * x[:, 1]
-        return g
-
-    def ring(X, grad, _R=R, _r=r):
-        sq = [_series.mul(x, x) for x in X]
-        s = sq[0] + sq[1] + sq[2]
-        s[(0,) * s.ndim] += _R ** 2 - _r ** 2
-        F = _series.mul(s, s) - 4.0 * _R ** 2 * (sq[0] + sq[1])
+    def poly(X, grad, ar, _R=R, _r=r):
+        sq = [ar.mul(x, x) for x in X]
+        s = ar.shift(sq[0] + sq[1] + sq[2], _R ** 2 - _r ** 2)
+        F = ar.mul(s, s) - 4.0 * _R ** 2 * (sq[0] + sq[1])
         if not grad:
             return F
-        g = 4.0 * np.stack([_series.mul(s, x) for x in X])
+        g = 4.0 * np.stack([ar.mul(s, x) for x in X])
         g[:2] -= 8.0 * _R ** 2 * X[:2]
         return F, g
-
-    def fvalue(x, _R=R, _r=r):
-        x = np.atleast_2d(x)
-        sq = x[:, 0] ** 2 + x[:, 1] ** 2 + x[:, 2] ** 2 + _R ** 2 - _r ** 2
-        return sq ** 2 - 4.0 * _R ** 2 * (x[:, 0] ** 2 + x[:, 1] ** 2)
 
     def jacobian(u, _R=R, _r=r):
         u = np.atleast_2d(u)
@@ -286,8 +272,7 @@ def torus(R: float = 2.0, r: float = 1.0) -> ManifoldSpec:
                   jacobian=jacobian)
     return ManifoldSpec(kind="torus", m=2, n=3, patches=(patch,),
                         params={"R": R, "r": r},
-                        implicit=ImplicitPoly(gradient=gradient, ring=ring,
-                                              value=fvalue))
+                        implicit=ImplicitPoly(poly))
 
 
 def clifford_torus(r1: float = 1.0, r2: float = 1.0) -> ManifoldSpec:
@@ -451,8 +436,13 @@ def _finite_array(ncols):
     return check
 
 
+# the largest sphere dimension m and ball dimension n a config may ask for:
+# the round closed forms fit m//2 + 5 coefficients, and the arrays grow with m
+MAX_DIMENSION = 64
+
 _NUMBER = (_is_number, "a finite number")
-_INTEGER = (_is_integer, "an integer")
+_DIMENSION = (lambda v: _is_integer(v) and 1 <= v <= MAX_DIMENSION,
+              f"an integer from 1 to {MAX_DIMENSION}")
 _NUMBERS = (_finite_array(None), "a list of finite numbers")
 _POINTS3 = (_finite_array(3), "a list of 3-vectors")
 
@@ -460,12 +450,12 @@ _POINTS3 = (_finite_array(3), "a list of 3-vectors")
 _BUILTINS = {
     "circle": (circle, {"r": _NUMBER}),
     "ellipse": (ellipse, {"a": _NUMBER, "b": _NUMBER}),
-    "sphere": (sphere, {"m": _INTEGER, "r": _NUMBER}),
+    "sphere": (sphere, {"m": _DIMENSION, "r": _NUMBER}),
     "spheroid": (spheroid, {"a": _NUMBER}),
     "ellipsoid": (ellipsoid, {"semiaxes": _NUMBERS}),
     "torus": (torus, {"R": _NUMBER, "r": _NUMBER}),
     "clifford_torus": (clifford_torus, {"r1": _NUMBER, "r2": _NUMBER}),
-    "ball": (ball, {"n": _INTEGER, "r": _NUMBER}),
+    "ball": (ball, {"n": _DIMENSION, "r": _NUMBER}),
     "ellipsoid_body": (ellipsoid_body, {"semiaxes": _NUMBERS}),
     "polygon_knot": (polygon_knot, {"vertices": _POINTS3}),
 }

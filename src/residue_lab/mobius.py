@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import NumericError
-from .manifold import series as _series
 from .manifold.quadrature import patch_jacobian, sample_quadrature
 from .manifold.shapes import ImplicitPoly, ManifoldSpec, Patch
 
@@ -98,52 +97,45 @@ class MobiusMap:
             y = s.apply(y)
 
 
-def _pull_back_ring(ring, steps, sign: float):
-    """The ring form (see ``ImplicitPoly``) of sign * F o Phi^-1.
+def _pull_back(poly, steps, sign: float):
+    """The ``poly`` form (see ``ImplicitPoly``) of sign * F o Phi^-1.
 
-    The coordinate series are pulled back through the inverse steps, last
-    step first; grad F is then pushed back through the transposed
-    differentials: rho^2/|w|^2 (I - 2 w w^T/|w|^2) for an inversion, R/s
-    for a similarity x -> s R x + t.
+    The coordinates are pulled back through the inverse steps, last step
+    first; grad F is then pushed back through the transposed differentials:
+    rho^2/|w|^2 (I - 2 w w^T/|w|^2) for an inversion, R/s for a similarity
+    x -> s R x + t.
     """
-    def image_ring(Y, grad):
-        origin = (slice(None),) + (0,) * (Y.ndim - 1)
+    def image_poly(Y, grad, ar):
         trail = []
         X = Y
         for step in reversed(steps):
-            W = X.copy()
             if isinstance(step, Inversion):
-                W[origin] -= step.center
-                inv = _series.inverse(sum(_series.mul(w, w) for w in W))
-                X = step.radius ** 2 * np.stack([_series.mul(w, inv) for w in W])
-                X[origin] += step.center
+                W = [ar.shift(x, -c) for x, c in zip(X, step.center)]
+                inv = ar.inverse(sum(ar.mul(w, w) for w in W))
+                X = np.stack([ar.shift(step.radius ** 2 * ar.mul(w, inv), c)
+                              for w, c in zip(W, step.center)])
                 trail.append((step, W, inv))
             else:
-                if step.translation is not None:
-                    W[origin] -= step.translation
+                W = X if step.translation is None else np.stack(
+                    [ar.shift(x, -c) for x, c in zip(X, step.translation)])
                 X = np.tensordot(step.matrix(len(W)).T, W, axes=1) / step.scale
                 trail.append((step, None, None))
         if not grad:
-            return sign * ring(X, False)
-        F, g = ring(X, True)
+            return sign * poly(X, False, ar)
+        F, g = poly(X, True, ar)
         for step, W, inv in reversed(trail):
             if W is None:
                 g = np.tensordot(step.matrix(len(g)), g, axes=1) / step.scale
             else:
-                t = 2.0 * _series.mul(inv, sum(_series.mul(w, gi) for w, gi in zip(W, g)))
+                t = 2.0 * ar.mul(inv, sum(ar.mul(w, gi) for w, gi in zip(W, g)))
                 g = step.radius ** 2 * np.stack(
-                    [_series.mul(inv, gi - _series.mul(t, w)) for w, gi in zip(W, g)])
+                    [ar.mul(inv, gi - ar.mul(t, w)) for w, gi in zip(W, g)])
         return sign * F, sign * g
 
-    return image_ring
+    return image_poly
 
 
-def _at_point(ring, y: np.ndarray, grad: bool):
-    """Evaluate a ring form at a point: constant series in one variable, degree 0."""
-    return ring(np.asarray(y, dtype=float).reshape(-1, 1), grad)
-
-
-def _orientation(ring, mmap: MobiusMap) -> float:
+def _orientation(implicit: ImplicitPoly, mmap: MobiusMap) -> float:
     """-1 when the map turns the source inside out, else +1.
 
     The image of the inside {F < 0} is bounded, hence the inside of the
@@ -159,17 +151,7 @@ def _orientation(ring, mmap: MobiusMap) -> float:
             y = (y - t) @ step.matrix(len(y)) / step.scale
     if y is None:
         return 1.0
-    return -1.0 if float(_at_point(ring, y, False)[0]) < 0.0 else 1.0
-
-
-def _image_implicit(source_ring, mmap: MobiusMap, sign: float) -> ImplicitPoly:
-    """Exact implicit G = sign * F o Phi^-1 of the image; no pointwise ``value``."""
-    ring = _pull_back_ring(source_ring, mmap.steps, sign)
-
-    def gradient(y):
-        return np.stack([_at_point(ring, row, True)[1][:, 0] for row in np.atleast_2d(y)])
-
-    return ImplicitPoly(gradient=gradient, ring=ring)
+    return -1.0 if float(implicit.value(y)[0]) < 0.0 else 1.0
 
 
 def transform_spec(spec: ManifoldSpec, mmap: MobiusMap,
@@ -193,8 +175,8 @@ def transform_spec(spec: ManifoldSpec, mmap: MobiusMap,
     mmap.check_guard(nodes.x)
     implicit, sign = None, 1.0
     if surf.implicit is not None:
-        sign = _orientation(surf.implicit.ring, mmap)
-        implicit = _image_implicit(surf.implicit.ring, mmap, sign)
+        sign = _orientation(surf.implicit, mmap)
+        implicit = ImplicitPoly(_pull_back(surf.implicit.poly, mmap.steps, sign))
 
     def make(p: Patch) -> Patch:
         def chart(u, _p=p):

@@ -312,16 +312,14 @@ def _d_sums(fr: CurvatureFrame, h: float) -> tuple[float, float]:
     return s_d1, s_d2
 
 
-def local_r8_raw(fr: CurvatureFrame) -> float:
-    """Local residue at z = -8, full formula with fourth-order terms (m = 4)."""
-    s_d1, s_d2 = _d_sums(fr, -float(fr.kappa.sum()))
-    return (_r8_kc(*_r8_sums(fr)) + 192.0 * s_d1 + 64.0 * s_d2) * math.pi ** 2 / 1536.0
-
-
-def local_r8_nu_raw(fr: CurvatureFrame) -> float:
-    """nu-weighted local residue at z = -8, full formula (m = 4)."""
-    s_d1, s_d2 = _d_sums(fr, float(fr.kappa.sum()))
-    return (_r8_nu_kc(*_r8_sums(fr)) - 192.0 * s_d1 - 64.0 * s_d2) * math.pi ** 2 / 1536.0
+def _r8_raw_pair(fr: CurvatureFrame, ks, cs) -> tuple[float, float]:
+    """(weight one, nu) local residues at z = -8, full formulas with the
+    fourth-order terms (m = 4), from the frame's ``_r8_sums``."""
+    H = float(fr.kappa.sum())
+    s_d1, s_d2 = _d_sums(fr, -H)
+    nu_d1, nu_d2 = _d_sums(fr, H)
+    return ((_r8_kc(ks, cs) + 192.0 * s_d1 + 64.0 * s_d2) * math.pi ** 2 / 1536.0,
+            (_r8_nu_kc(ks, cs) - 192.0 * nu_d1 - 64.0 * nu_d2) * math.pi ** 2 / 1536.0)
 
 
 def _delta_pieces_order3(fr: CurvatureFrame, ks, cs):
@@ -346,56 +344,73 @@ def _delta_pieces_order3(fr: CurvatureFrame, ks, cs):
     return delta_hsq_kc, delta_sc_kc
 
 
-def local_r8_modified(fr: CurvatureFrame) -> float:
-    """Order-3 integrand for the -8 residue: raw kappa/c parts with the
-    d-terms traded for the Laplacian corrections (which drop the d's)."""
-    ks, cs = _r8_sums(fr)
+def _r8_modified_pair(fr: CurvatureFrame, ks, cs) -> tuple[float, float]:
+    """(weight one, nu) order-3 integrands for the -8 residues: raw kappa/c
+    parts with the d-terms traded for the Laplacian corrections (which drop
+    the d's), from the frame's ``_r8_sums``."""
     dhsq, dsc = _delta_pieces_order3(fr, ks, cs)
     return (_r8_kc(ks, cs) * math.pi ** 2 / 1536.0
-            - math.pi ** 2 / 384.0 * (3.0 * dhsq - 4.0 * dsc))
-
-
-def local_r8_nu_modified(fr: CurvatureFrame) -> float:
-    ks, cs = _r8_sums(fr)
-    dhsq, dsc = _delta_pieces_order3(fr, ks, cs)
-    return (_r8_nu_kc(ks, cs) * math.pi ** 2 / 1536.0
+            - math.pi ** 2 / 384.0 * (3.0 * dhsq - 4.0 * dsc),
+            _r8_nu_kc(ks, cs) * math.pi ** 2 / 1536.0
             + math.pi ** 2 / 384.0 * (5.0 * dhsq - 4.0 * dsc))
 
 
-def _m8_residues(spec: ManifoldSpec, pairs, order: int, reduced, name: str) -> list[dict]:
-    """One max_order=4 frame pass over (modified, raw) integrand pairs."""
-    surf = spec.surface()
-    if surf.m != 4 or surf.codim != 1:
-        raise NumericError(f"{name} needs a closed 4-D hypersurface")
-    vals = frame_integral(spec, lambda fr: [f(fr) for pair in pairs for f in pair],
-                          order=order, max_order=4, reduced=reduced)
-    return [{"modified": mod, "raw": raw, "spread": abs(mod - raw)}
-            for mod, raw in zip(vals[0::2], vals[1::2])]
+def r8_modified_densities(fr: CurvatureFrame) -> tuple[float, float]:
+    """(R(-8), R_nu(-8)) order-3 local densities from one pass of the sums."""
+    return _r8_modified_pair(fr, *_r8_sums(fr))
 
 
-_R8 = (local_r8_modified, local_r8_raw)
-_R8_NU = (local_r8_nu_modified, local_r8_nu_raw)
+def local_r8_raw(fr: CurvatureFrame) -> float:
+    """Local residue at z = -8, full formula with fourth-order terms (m = 4)."""
+    return _r8_raw_pair(fr, *_r8_sums(fr))[0]
 
 
-def residue_m8(spec: ManifoldSpec, order: int = 48, reduced: bool = True) -> dict:
-    """Residue at z = -8 of a closed 4-D hypersurface, both computation paths.
+def local_r8_nu_raw(fr: CurvatureFrame) -> float:
+    """nu-weighted local residue at z = -8, full formula (m = 4)."""
+    return _r8_raw_pair(fr, *_r8_sums(fr))[1]
+
+
+def local_r8_modified(fr: CurvatureFrame) -> float:
+    """Order-3 integrand for the -8 residue (see ``_r8_modified_pair``)."""
+    return r8_modified_densities(fr)[0]
+
+
+def local_r8_nu_modified(fr: CurvatureFrame) -> float:
+    return r8_modified_densities(fr)[1]
+
+
+def _m8_integrands(fr: CurvatureFrame):
+    """(modified, raw, nu modified, nu raw) local -8 residues from one pass of the sums."""
+    sums = _r8_sums(fr)
+    (mod, nu_mod), (raw, nu_raw) = _r8_modified_pair(fr, *sums), _r8_raw_pair(fr, *sums)
+    return mod, raw, nu_mod, nu_raw
+
+
+def m8_residues(spec: ManifoldSpec, order: int = 48,
+                reduced: bool = True) -> tuple[dict, dict]:
+    """(residue_m8, nu_residue_m8) of a closed 4-D hypersurface from one
+    max_order=4 frame pass, both computation paths.
 
     'modified' integrates the order-3 integrand (no fourth derivatives);
     'raw' integrates the full local formula. On a closed manifold the two
     integrals agree because the traded terms are exact Laplacians.
     """
-    return _m8_residues(spec, [_R8], order, reduced, "residue_m8")[0]
+    surf = spec.surface()
+    if surf.m != 4 or surf.codim != 1:
+        raise NumericError("the z = -8 residues need a closed 4-D hypersurface")
+    vals = frame_integral(spec, _m8_integrands, order=order, max_order=4, reduced=reduced)
+    return tuple({"modified": mod, "raw": raw, "spread": abs(mod - raw)}
+                 for mod, raw in (vals[0:2], vals[2:4]))
+
+
+def residue_m8(spec: ManifoldSpec, order: int = 48, reduced: bool = True) -> dict:
+    """The weight-one entry of ``m8_residues``."""
+    return m8_residues(spec, order, reduced)[0]
 
 
 def nu_residue_m8(spec: ManifoldSpec, order: int = 48, reduced: bool = True) -> dict:
-    return _m8_residues(spec, [_R8_NU], order, reduced, "nu_residue_m8")[0]
-
-
-def m8_residues(spec: ManifoldSpec, order: int = 48,
-                reduced: bool = True) -> tuple[dict, dict]:
-    """(residue_m8, nu_residue_m8) from one frame pass; each value is
-    bit-identical to its separate call."""
-    return tuple(_m8_residues(spec, [_R8, _R8_NU], order, reduced, "m8_residues"))
+    """The nu-weighted entry of ``m8_residues``."""
+    return m8_residues(spec, order, reduced)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -59,9 +59,9 @@ def _body_profile(n: int):
 
 
 @lru_cache(maxsize=None)
-def _spheroid_r8(a: float):
-    sp = shapes.spheroid(a)
-    return res.residue_m8(sp, order=48)
+def _spheroid_m8(a: float):
+    """(residue_m8, nu_residue_m8) of the spheroid from one frame pass."""
+    return res.m8_residues(shapes.spheroid(a), order=48)
 
 
 @lru_cache(maxsize=None)
@@ -116,12 +116,6 @@ def _lk_pair(label: str):
         steiner[r] = (res.steiner_volume(body, r, order=order),
                       body_volume(shapes.parallel_body(body, r), order + 8))
     return C, CR, steiner
-
-
-@lru_cache(maxsize=None)
-def _spheroid_r8_nu(a: float):
-    sp = shapes.spheroid(a)
-    return res.nu_residue_m8(sp, order=48)
 
 
 # --- criterion 1: beta oracle equivalence -----------------------------------
@@ -257,7 +251,7 @@ def check_mobius() -> list[CheckResult]:
                           _rel(big1, c ** (-2 + 4) * base1), 1e-8))
         r8c = res.residue_m8(shapes.ellipsoid(tuple(c * s for s in (1, 1, 1, 1, math.sqrt(2)))),
                              order=48)["modified"]
-        r8 = _spheroid_r8(math.sqrt(2))["modified"]
+        r8 = _spheroid_m8(math.sqrt(2))[0]["modified"]
         out.append(_check(f"homogeneity-spheroid-R(-8)-c={c:g}", _rel(r8c, r8), 1e-8))
     rep8 = _mobius_report("spheroid-r8")
     out.append(_check("mobius-spheroid-R(-8)", rep8["rel"], 1e-4))
@@ -276,9 +270,8 @@ def check_mobius() -> list[CheckResult]:
 def check_four_dim_suite() -> list[CheckResult]:
     out = []
     s4 = shapes.sphere(4, 1.0)
-    r8_s4 = res.residue_m8(s4, order=48)
+    r8_s4, r8nu_s4 = res.m8_residues(s4, order=48)
     out.append(_check("s4-R(-8)=0", abs(r8_s4["modified"]), 1e-6, extra="(absolute)"))
-    r8nu_s4 = res.nu_residue_m8(s4, order=48)
     tgt = 2 * math.pi ** 4 / 3
     out.append(_check("s4-Rnu(-8)-graph", _rel(r8nu_s4["modified"], tgt), 1e-8))
     dual = -(-8.0) * (-8.0 + 3.0) * oracles.beta_ball_residue(5, -10)
@@ -289,16 +282,16 @@ def check_four_dim_suite() -> list[CheckResult]:
     for a in (math.sqrt(2), math.sqrt(3), 2.0):
         out.append(_check(f"spheroid-GW-a={a:.5g}", _rel(_gw(a), oracles.spheroid_gw(a)), 1e-6))
         out.append(_check(f"spheroid-R(-8)-a={a:.5g}",
-                          _rel(_spheroid_r8(a)["modified"], oracles.spheroid_r8(a)), 1e-6))
+                          _rel(_spheroid_m8(a)[0]["modified"], oracles.spheroid_r8(a)), 1e-6))
     for a in (1.0 + 1e-4, 1.0 - 1e-4):
         gw = _gw(a)
         out.append(_check(f"spheroid-GW-limit-a={a:g}", abs(gw - math.pi ** 2), 1e-3,
                           extra="(absolute)"))
         out.append(_check(f"spheroid-R(-8)-limit-a={a:g}",
-                          abs(_spheroid_r8(a)["modified"]), 1e-3, extra="(absolute)"))
+                          abs(_spheroid_m8(a)[0]["modified"]), 1e-3, extra="(absolute)"))
     # the tabulated nu closed form is documented-discrepant; quadrature is authoritative
     a = math.sqrt(2)
-    quad = _spheroid_r8_nu(a)["modified"]
+    quad = _spheroid_m8(a)[1]["modified"]
     tab = oracles.spheroid_r8_nu(a)
     gap = abs(quad - tab)
     out.append(CheckResult(
@@ -338,8 +331,7 @@ def check_conformal_invariances() -> list[CheckResult]:
     out.append(CheckResult("sweep-gw-min-at-round-sphere",
                            all(gws[i1] <= g + 1e-12 for g in gws),
                            f"gw(1)={gws[i1]:.6f} min of {len(gws)} samples"))
-    r8nu_1 = res.nu_residue_m8(shapes.sphere(4, 1.0), order=40)["modified"]
-    r8_1 = res.residue_m8(shapes.sphere(4, 1.0), order=40)["modified"]
+    r8_1, r8nu_1 = (r["modified"] for r in res.m8_residues(shapes.sphere(4, 1.0), order=40))
     out.append(_check("sweep-row-a=1-r8", abs(r8_1), 1e-8, extra="(absolute)"))
     out.append(_check("sweep-row-a=1-r8nu", _rel(r8nu_1, 2 * math.pi ** 4 / 3), 1e-8))
     return out
@@ -354,10 +346,10 @@ def check_gw_identity() -> list[CheckResult]:
         out.append(_check(f"gw-identity-{label}", abs(eb.identity_residual),
                           1e-6 * abs(eb.gw), extra=f"gw={eb.gw:.9f}"))
     a = math.sqrt(2)
-    out.append(_check("r8-order3-vs-order4", _spheroid_r8(a)["spread"],
-                      1e-6 * max(1.0, abs(_spheroid_r8(a)["raw"]))))
-    out.append(_check("r8nu-order3-vs-order4", _spheroid_r8_nu(a)["spread"],
-                      1e-6 * abs(_spheroid_r8_nu(a)["raw"])))
+    out.append(_check("r8-order3-vs-order4", _spheroid_m8(a)[0]["spread"],
+                      1e-6 * max(1.0, abs(_spheroid_m8(a)[0]["raw"]))))
+    out.append(_check("r8nu-order3-vs-order4", _spheroid_m8(a)[1]["spread"],
+                      1e-6 * abs(_spheroid_m8(a)[1]["raw"])))
     return out
 
 

@@ -181,6 +181,23 @@ def test_bad_shape_params_are_config_errors(shape, capsys):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("shape", [
+    '{"kind": "sphere", "params": {"m": 1000000000}}',
+    '{"kind": "sphere", "params": {"m": 65}}',
+    '{"kind": "ball", "params": {"n": 1000000000}}',
+])
+def test_dimensions_above_the_bound_are_config_errors(shape, capsys):
+    # a dimension is checked before anything of that size is built
+    assert cli.main(["--cmd", "beta", "--shape", shape, "--z", "1"]) == 2
+    assert f"an integer from 1 to {shapes.MAX_DIMENSION}" in capsys.readouterr().err
+
+
+def test_the_largest_sphere_dimension_runs(capsys):
+    code, out = run_cli(["--cmd", "beta", "--shape",
+                         '{"kind": "sphere", "params": {"m": 64}}', "--z", "1"], capsys)
+    assert code == 0 and len(out.splitlines()) == 2
+
+
 @pytest.mark.parametrize("z", ["nan", "inf", "1,-inf"])
 def test_nonfinite_z_is_config_error(z, capsys):
     code = cli.main(["--cmd", "beta", "--shape", '{"kind": "circle"}', "--z", z])

@@ -45,6 +45,15 @@ def test_profile_evenness(circle_profile, torus_profile):
     assert leak_t < 1e-3
 
 
+def test_evenness_of_a_geodesic_profile_reads_the_arc_density():
+    # arc length on the circle has the constant density 2, so no odd power
+    # leaks; the chord density 2/sqrt(1 - t^2/4) would leak ~1e-4 at 3
+    # coefficients. (At the default 5 the refit has 17 exponents on 18 bins,
+    # condition ~2e18, and reads its own rounding, ~2e-7.)
+    prof = cont.distance_profile(M.circle(1.0), geodesic=True, fit_degree=3)
+    assert cont.evenness_diagnostic(M.circle(1.0), prof) <= 1e-10
+
+
 def test_reach_refusal():
     with pytest.raises(ReachError):
         cont.distance_profile(M.torus(2.0, 1.0), delta=2.0)
@@ -497,16 +506,14 @@ def _paraboloid(c, slope_scale=1.0):
     """z = c |s|^2 in R^3 as a bare implicit spec; a wrong slope on request."""
     from residue_lab.manifold.shapes import ImplicitPoly, ManifoldSpec
 
-    def value(y):
-        return c * (y[:, 0] ** 2 + y[:, 1] ** 2) - y[:, 2]
-
-    def gradient(y):
-        y = np.atleast_2d(y)
-        return slope_scale * np.stack([2 * c * y[:, 0], 2 * c * y[:, 1],
-                                       -np.ones(len(y))], axis=1)
+    def poly(X, grad, ar):
+        F = c * (ar.mul(X[0], X[0]) + ar.mul(X[1], X[1])) - X[2]
+        if not grad:
+            return F
+        return F, slope_scale * np.stack([2 * c * X[0], 2 * c * X[1], -np.ones_like(X[2])])
 
     return ManifoldSpec(kind="paraboloid", m=2, n=3, patches=(),
-                        implicit=ImplicitPoly(gradient=gradient, ring=None, value=value))
+                        implicit=ImplicitPoly(poly))
 
 
 def _cap(surf, t_grid, x0=np.zeros(3), ng=12):
@@ -547,19 +554,16 @@ def test_cap_graph_newton_cycle_raises():
     # above the rounding floor; that must not count as converged
     from residue_lab.manifold.shapes import ImplicitPoly, ManifoldSpec
 
-    def value(y):
-        w = y[:, 2] - 0.1 * (y[:, 0] ** 2 + y[:, 1] ** 2)
-        return w ** 3 - 2.0 * w + 2.0
-
-    def gradient(y):
-        y = np.atleast_2d(y)
-        w = y[:, 2] - 0.1 * (y[:, 0] ** 2 + y[:, 1] ** 2)
-        g = 3.0 * w ** 2 - 2.0
-        return g[:, None] * np.stack([-0.2 * y[:, 0], -0.2 * y[:, 1],
-                                      np.ones(len(y))], axis=1)
+    def poly(X, grad, ar):
+        w = X[2] - 0.1 * (ar.mul(X[0], X[0]) + ar.mul(X[1], X[1]))
+        F = ar.shift(ar.mul(ar.mul(w, w), w) - 2.0 * w, 2.0)
+        if not grad:
+            return F
+        g = ar.shift(3.0 * ar.mul(w, w), -2.0)
+        return F, np.stack([ar.mul(g, -0.2 * X[0]), ar.mul(g, -0.2 * X[1]), g])
 
     spec = ManifoldSpec(kind="cycle", m=2, n=3, patches=(),
-                        implicit=ImplicitPoly(gradient=gradient, ring=None, value=value))
+                        implicit=ImplicitPoly(poly))
     with pytest.raises(NumericError, match="angle Newton"):
         _cap(spec, np.array([0.05, 0.1]))
     with pytest.raises(NumericError, match="graph Newton"):
@@ -654,18 +658,23 @@ def test_sphere_caps_are_archimedean_until_the_equator():
         _cap(_paraboloid(1.0), np.array([1.4]))
 
 
-def test_cap_solve_takes_seven_implicit_evaluations_per_torus_node(torus_spec):
+def test_cap_solve_takes_nine_point_evaluations_per_torus_node(torus_spec):
+    # one F-and-gradient pass per Newton step: the normal at the node, the
+    # angle and graph Newton steps, and the gradient at the converged points
     from dataclasses import replace
+    from residue_lab.manifold import series
     calls = []
 
-    def value(y):
-        calls.append(len(y))
-        return torus_spec.implicit.value(y)
+    def poly(X, grad, ar):
+        if ar is series.POINTS:
+            calls.append(X.shape[1])
+        return torus_spec.implicit.poly(X, grad, ar)
 
-    spec = replace(torus_spec, implicit=replace(torus_spec.implicit, value=value))
+    t = 0.2 * M.reach_estimate(torus_spec) * np.arange(1, 17) / 16
+    spec = replace(torus_spec, implicit=replace(torus_spec.implicit, poly=poly))
     x0 = spec.patches[0].chart(np.array([[0.3, 1.1]]))[0]
-    _cap(spec, 0.2 * M.reach_estimate(spec) * np.arange(1, 17) / 16, x0)
-    assert len(calls) <= 8
+    _cap(spec, t, x0)
+    assert len(calls) <= 9
 
 
 @pytest.mark.parametrize("R", [20.0, 50.0])

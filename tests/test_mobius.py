@@ -113,7 +113,8 @@ def test_spheroid_image_carries_an_exact_implicit():
     img = MB.transform_spec(M.spheroid(math.sqrt(2)), _verify_inversion(),
                             axis_symmetric=True)
     assert img.implicit is not None
-    assert img.implicit.value is None   # the continuation keeps its chart route
+    u = np.array([[0.4, 1.0, 1.3, 0.7], [1.2, 0.6, 2.0, 4.0], [2.5, 1.4, 0.9, 2.2]])
+    assert np.max(np.abs(img.implicit.value(img.patches[0].chart(u)))) <= 1e-12
 
 
 def test_spheroid_image_curvatures_follow_the_transformation_law():
@@ -207,3 +208,45 @@ def test_image_jacobian_matches_central_differences_of_the_image_chart():
                    for e in np.eye(2)], axis=2)
     assert J.shape == (20, 3, 2)
     assert np.max(np.abs(J - fd)) <= 1e-8 * np.max(np.abs(J))
+
+
+# --- the cap path on Moebius images --------------------------------------------
+
+def _sphere_image():
+    # |x - c| runs over [2, 4] on the unit sphere, so the image under the unit
+    # inversion about c = (0, 0, 3) is a round sphere of radius 1/8
+    mp = MB.MobiusMap((MB.Inversion(center=(0.0, 0.0, 3.0), radius=1.0),))
+    return MB.transform_spec(M.sphere(2, 1.0), mp)
+
+
+def test_sphere_image_profile_through_the_caps():
+    prof = cont.distance_profile(_sphere_image())
+    r2 = cont.beta_eval(prof, -2.0)
+    assert r2.at_pole and abs(r2.residue / (math.pi ** 2 / 8) - 1.0) <= 1e-10
+    assert abs(cont.beta_eval(prof, -4.0).residue) <= 1e-10
+    ref = cont.beta_eval(cont.distance_profile(M.sphere(2, 0.125)), 1.0).value.real
+    assert abs(cont.beta_eval(prof, 1.0).value.real / ref - 1.0) <= 1e-4
+
+
+@pytest.mark.parametrize("spec", [
+    M.torus(2.0, 1.0), M.ellipsoid((1.0, 1.3, 0.8)),
+    MB.transform_spec(M.torus(2.0, 1.0),
+                      MB.MobiusMap((MB.Inversion(center=(0.5, -0.2, 2.5), radius=1.5),
+                                    MB.Similarity(scale=0.7, translation=(0.1, 0.0, -0.3)))))],
+    ids=["torus", "ellipsoid", "torus-image"])
+def test_pointwise_implicit_matches_the_ring(spec):
+    # the constant and linear terms of F(p + u) on series are F(p) and grad F(p)
+    from residue_lab.manifold import series
+    u = np.array([[0.3, 1.1], [2.0, 4.0], [1.2, 0.5]])
+    x = spec.patches[0].chart(u) + 0.05
+    F, g = spec.implicit.value_and_gradient(x)
+    assert np.array_equal(spec.implicit.value(x), F)
+    for p, Fp, gp in zip(x, F, g):
+        X = np.stack([series.const(3, 1, c) + series.linear(3, 1, e)
+                      for c, e in zip(p, np.eye(3))])
+        ring_F, ring_g = spec.implicit.ring(X, True)
+        scale = np.max(np.abs(gp))
+        assert abs(ring_F[0, 0, 0] - Fp) <= 1e-13 * scale
+        assert np.max(np.abs([ring_F[1, 0, 0], ring_F[0, 1, 0], ring_F[0, 0, 1]] - gp)) \
+            <= 1e-13 * scale
+        assert np.max(np.abs(ring_g[:, 0, 0, 0] - gp)) <= 1e-13 * scale

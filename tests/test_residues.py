@@ -103,6 +103,27 @@ def test_m8_residues_share_one_frame_pass(monkeypatch):
         assert len(built) == 3 * nodes
 
 
+def test_r8_sums_are_formed_once_per_frame(monkeypatch):
+    # energy_breakdown and m8_residues share the kappa and c sums of a frame
+    # among all their z = -8 integrands
+    from residue_lab import conformal
+    counts = {"frames": 0, "kappa": 0, "c": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kw):
+            counts[key] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    monkeypatch.setattr(R, "curvature_frame", counting("frames", curvature_frame))
+    monkeypatch.setattr(R, "_kappa_sums", counting("kappa", R._kappa_sums))
+    monkeypatch.setattr(R, "_c_sums", counting("c", R._c_sums))
+    conformal.energy_breakdown(M.spheroid(1.7), order=8)
+    R.m8_residues(M.spheroid(1.7), order=8)
+    assert counts["frames"] == 16
+    assert counts["kappa"] == counts["c"] == counts["frames"]
+
+
 def test_clifford_residues_from_the_exact_chart_jacobian():
     # the flat torus S^1 x S^1 in R^4 has area 4 pi^2: R(-2) = 2 pi area
     assert R.residue_first(M.clifford_torus(1.0, 1.0), order=32) == pytest.approx(
