@@ -6,14 +6,15 @@ configurations produce byte-identical files.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error
 (including out-of-range flags: --order < 2, --fit-degree < 1, --workers < 1,
---delta not finite and > 0), 3 numeric failure (pole guard or reach
-violation).
+--delta not finite and > 0; a --shape that is not JSON or cannot be read;
+a --sweep with a non-finite end or too many rows; an --out that cannot be
+written), 3 numeric failure (pole guard, reach violation, or a value that
+is not finite in double precision).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -29,7 +30,7 @@ def _parse_shape(arg: str) -> shapes.ManifoldSpec:
     if arg is None:
         raise ConfigError("--shape is required for this command")
     if arg.strip().startswith("{"):
-        return shapes.from_config(json.loads(arg))
+        return shapes.from_config(arg)
     if os.path.exists(arg):
         return shapes.load_config(arg)
     raise ConfigError(f"shape config not found: {arg}")
@@ -45,14 +46,19 @@ def _parse_zlist(arg: str) -> list[float]:
     return zs
 
 
+_MAX_SWEEP_ROWS = 10_000
+
+
 def _parse_sweep(arg: str) -> np.ndarray:
     try:
         a0, a1, step = (float(t) for t in arg.split(":"))
     except ValueError as exc:
         raise ConfigError(f"bad --sweep range {arg!r}") from exc
-    if step <= 0 or a1 < a0:
-        raise ConfigError("sweep needs a0 <= a1 and step > 0")
-    npts = int(round((a1 - a0) / step)) + 1
+    if not (math.isfinite(a0) and math.isfinite(a1) and step > 0 and a1 >= a0):
+        raise ConfigError("sweep needs finite a0 <= a1 and step > 0")
+    npts = round((a1 - a0) / step) + 1
+    if npts > _MAX_SWEEP_ROWS:
+        raise ConfigError(f"sweep asks for {npts:.3g} rows, more than {_MAX_SWEEP_ROWS}")
     return a0 + step * np.arange(npts)
 
 
@@ -81,9 +87,12 @@ def _checked(kind, ok, what: str):
 def _emit(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out!r}: {exc.strerror}") from None
 
 
 def _csv(rows: list[list], header: list[str]) -> str:

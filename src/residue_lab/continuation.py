@@ -32,8 +32,9 @@ from scipy.special import roots_jacobi
 
 from ._util import ConfigError, NumericError, chunked_map_reduce, fmt_float
 from .manifold.frames import reach_estimate
-from .manifold.quadrature import gauss_on, gauss_rule, patch_jacobian, sample_quadrature
-from .manifold.shapes import ManifoldSpec
+from .manifold.quadrature import (gauss_on, gauss_rule, patch_grid, patch_jacobian,
+                                  sample_quadrature, volume_element)
+from .manifold.shapes import ManifoldSpec, axis_symmetric
 
 POLE_GUARD = 1e-3
 # the circle on which ``_laurent`` takes the Laurent data of composite energies
@@ -259,7 +260,10 @@ def _fit_even_model(m: int, edges: np.ndarray, masses: np.ndarray, ncoef: int,
         A[:, j] = (edges[1:] ** p - edges[:-1] ** p) / p
     scale_rows = (edges[1:] ** m - edges[:-1] ** m) / m
     scale_cols = delta ** expo.astype(float)
-    Aw = A / scale_rows[:, None] * scale_cols[None, :]
+    with np.errstate(all="ignore"):
+        Aw = A / scale_rows[:, None] * scale_cols[None, :]
+    if not (np.all(np.isfinite(Aw)) and np.all(np.max(np.abs(Aw), axis=0) > 0.0)):
+        raise NumericError(f"the small-t fit design under- or overflows at delta={delta:.3g}")
     bw = masses / scale_rows
     coef_scaled, res, rank, sv = np.linalg.lstsq(Aw, bw, rcond=None)
     coeffs = coef_scaled * scale_cols
@@ -359,7 +363,6 @@ def _tail_moments_curve(surf, weight, delta, edges, order):
     patch = surf.patches[0]
     a0, b0 = patch.box[0]
     period = b0 - a0
-    from .manifold.quadrature import patch_grid, volume_element
     u0s, wp = patch_grid(patch, order)
     sg = volume_element(patch, u0s)
     wq = wp * sg
@@ -472,7 +475,13 @@ def _near_masses(spec, weight, delta, t_grid, order_sub, n_ang):
     """Bin masses of psi on (0, delta] by local polar quadrature around
     each outer node: for every direction in parameter space, root-find the
     radius where the chord distance crosses each t, then integrate the
-    volume element radially."""
+    volume element radially.
+
+    Cap masses and pair weights are invariant under isometries, so on an
+    ``axis_symmetric`` shape they are constant on each grid row {u[0] = c}:
+    there the caps are solved at the first node of each row, which carries
+    the row's summed weight.
+    """
     surf = spec.surface()
     m = surf.m
     dirs, dirw = _direction_set(m, n_ang)
@@ -482,18 +491,19 @@ def _near_masses(spec, weight, delta, t_grid, order_sub, n_ang):
     nbin = len(t_grid)
     masses = np.zeros(nbin)
     tmax = float(t_grid[-1])
-    nd = len(dirs)
     use_implicit = surf.implicit is not None and surf.codim == 1
-    for pi, patch in enumerate(surf.patches):
-        from .manifold.quadrature import patch_grid, volume_element
+    orbits = axis_symmetric(surf)
+    for patch in surf.patches:
         u0s, wp = patch_grid(patch, order_sub)
-        sg = volume_element(patch, u0s)
-        wq = wp * sg
+        wq = wp * volume_element(patch, u0s)
+        if orbits:
+            u0s = u0s.reshape(order_sub, -1, m)[:, 0]
+            wq = wq.reshape(order_sub, -1).sum(axis=1)
         for u0, wx in zip(u0s, wq):
             x0 = patch.chart(u0[None, :])[0]
             if use_implicit:
                 masses += wx * _cap_masses_implicit(surf, x0, weight, t_grid,
-                                                    dirw, gx, gw, n_ang)
+                                                    dirs, dirw, gx, gw)
                 continue
             nu0 = (patch.normal(u0[None, :])
                    if (_needs_normals(weight) and patch.normal is not None) else None)
@@ -620,7 +630,7 @@ def _cap_boundary(imp, x0, nu, e, t):
     return rho, t * np.sin(a)
 
 
-def _cap_masses_implicit(surf, x0, weight, t_grid, dirw, gx, gw, n_ang):
+def _cap_masses_implicit(surf, x0, weight, t_grid, dirs, dirw, gx, gw):
     """Cap masses around x0 through the ambient tangent graph chart.
 
     Valid for hypersurfaces with a polynomial implicit F. In the tangent
@@ -639,7 +649,6 @@ def _cap_masses_implicit(surf, x0, weight, t_grid, dirw, gx, gw, n_ang):
     P = np.eye(surf.n) - np.outer(nu, nu)
     wvals, V = np.linalg.eigh(P)
     E = V[:, wvals > 0.5].T                     # (m, n)
-    dirs, dirw = _direction_set(m, n_ang)
     nd, nt, ng = len(dirs), len(t_grid), len(gx)
     rho, fb = _cap_boundary(imp, x0, nu, np.repeat(dirs @ E, nt, axis=0),
                             np.tile(np.asarray(t_grid, dtype=float), nd))
@@ -911,7 +920,8 @@ def _evaluate(energy, poles, z, method: str, laurent=None,
     by default the contour rule ``_laurent``. Inside the guard of the
     removable point: the contour's regular part at z, which a difference
     quotient would lose to cancellation. Elsewhere: ``energy(z)`` alone,
-    with no residue.
+    with no residue. A value or residue that is not finite in double
+    precision is a NumericError.
     """
     zc = complex(z)
     if not cmath.isfinite(zc):
@@ -919,14 +929,25 @@ def _evaluate(energy, poles, z, method: str, laurent=None,
     dists = [abs(zc - p) for p in poles]
     i = int(np.argmin(dists))
     pole, dist = float(poles[i]), float(dists[i])
+    res = None
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):   # checked below
+            if dist < POLE_GUARD:
+                res, val = (laurent or (lambda p: _laurent(energy, p)))(pole)
+                res = res.real
+            elif removable is not None and abs(zc - removable) < POLE_GUARD:
+                val = _laurent(energy, removable, zc)[1]
+            else:
+                val = energy(zc)
+    except (OverflowError, ZeroDivisionError):
+        val = math.nan
+    if not (cmath.isfinite(val) and math.isfinite(0.0 if res is None else res)):
+        at = fmt_float(zc.real) if zc.imag == 0.0 else str(zc)
+        raise NumericError(f"the energy at z={at} is not finite in double precision "
+                           f"(t^z over- or underflows)")
     if dist < POLE_GUARD:
-        res, fp = (laurent or (lambda p: _laurent(energy, p)))(pole)
-        return BetaEvaluation(z=zc, value=fp, nearest_pole=pole, residue=res.real,
-                              method=method, at_pole=True, finite_part=fp)
-    if removable is not None and abs(zc - removable) < POLE_GUARD:
-        val = _laurent(energy, removable, zc)[1]
-    else:
-        val = energy(zc)
+        return BetaEvaluation(z=zc, value=val, nearest_pole=pole, residue=res,
+                              method=method, at_pole=True, finite_part=val)
     return BetaEvaluation(z=zc, value=val, nearest_pole=pole, residue=None,
                           method=method)
 
@@ -1192,7 +1213,6 @@ def relative_local_residue_at_point(body: ManifoldSpec, u, which: str = "boundar
     gw = 0.5 * gw
     rr = rho_star[:, None] * gx[None, :]
     flat = u[None, :] + rr.reshape(-1, 1) * np.repeat(dirs, len(gx), axis=0)
-    from .manifold.quadrature import volume_element
     sgv = volume_element(patch, flat).reshape(rr.shape)
     y = patch.chart(flat)
     nuy = patch.normal(flat)

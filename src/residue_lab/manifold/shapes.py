@@ -86,6 +86,24 @@ class ManifoldSpec:
         return self.boundary if self.is_body else self
 
 
+def axis_symmetric(spec: ManifoldSpec) -> bool:
+    """Rotations fixing the last ambient axis map the single-patch shape onto
+    itself, and each chart fiber {u[0] = c} is one orbit of them.
+
+    True for the torus, round spheres, spheroids, ellipsoids with equal first
+    n-1 semiaxes (m >= 2) and Moebius images flagged ``axis_symmetric``.
+    Anything invariant under those rotations (cap masses, volume-element
+    fiber sums) then depends on u[0] alone.
+    """
+    if spec.m < 2 or len(spec.patches) != 1:
+        return False
+    if spec.kind in ("torus", "sphere", "spheroid"):
+        return True
+    if spec.kind == "ellipsoid":
+        return len(set(spec.params["semiaxes"][:-1])) == 1
+    return bool(spec.params.get("axis_symmetric"))
+
+
 # ---------------------------------------------------------------------------
 # chart helpers
 # ---------------------------------------------------------------------------
@@ -464,7 +482,10 @@ _BUILTINS = {
 def from_config(doc) -> ManifoldSpec:
     """Build a spec from a JSON-compatible mapping: {kind, params, orientation?}."""
     if isinstance(doc, str):
-        doc = json.loads(doc)
+        try:
+            doc = json.loads(doc)
+        except ValueError as exc:
+            raise ConfigError(f"shape config is not JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("shape config must be a mapping")
     unknown = set(doc) - {"kind", "params", "orientation"}
@@ -474,7 +495,9 @@ def from_config(doc) -> ManifoldSpec:
     if kind not in _BUILTINS:
         raise ConfigError(f"unknown shape kind {kind!r}; valid: {sorted(_BUILTINS)}")
     fn, types = _BUILTINS[kind]
-    params = dict(doc.get("params", {}))
+    params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"{kind} params must be a mapping, got {params!r}")
     bad = set(params) - set(types)
     if bad:
         raise ConfigError(f"unknown params for {kind}: {sorted(bad)}")
@@ -492,5 +515,9 @@ def from_config(doc) -> ManifoldSpec:
 
 
 def load_config(path: str) -> ManifoldSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_config(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read shape config {path!r}: {exc}") from None
+    return from_config(text)

@@ -15,10 +15,9 @@ import numpy as np
 
 from ._util import NumericError, fmt_float
 from .manifold.frames import CurvatureFrame, curvature_frame
-from .manifold.localexp import local_residue_graph
 from .manifold.quadrature import (body_volume, gauss_on, patch_grid, sample_quadrature,
                                   volume_element)
-from .manifold.shapes import ManifoldSpec
+from .manifold.shapes import ManifoldSpec, axis_symmetric
 from .oracles import ball_volume, sphere_volume
 
 
@@ -50,13 +49,7 @@ class ResidueReport:
 
 def _line_reducible(surf: ManifoldSpec) -> bool:
     """A 4-D shape symmetric under rotations that fix the last ambient axis."""
-    if surf.m != 4:
-        return False
-    if surf.kind in ("sphere", "spheroid"):
-        return True
-    if surf.kind == "ellipsoid":
-        return len(set(surf.params["semiaxes"][:4])) == 1
-    return bool(surf.params.get("axis_symmetric"))
+    return surf.m == 4 and axis_symmetric(surf)
 
 
 _LINE_FIBER_ANGLES = (1.0, 1.3, 0.7)
@@ -135,15 +128,6 @@ def residue_second(spec: ManifoldSpec, order: int = 32) -> float:
                                  order=order, max_order=2)
 
 
-def residue_second_surface_form(spec: ManifoldSpec, order: int = 32) -> float:
-    """(pi/8) int (kappa_1 - kappa_2)^2 for closed surfaces in R^3; equals residue_second."""
-    surf = spec.surface()
-    if surf.m != 2 or surf.codim != 1:
-        raise NumericError("surface form needs a closed surface in R^3")
-    return (math.pi / 8.0) * frame_integral(
-        spec, lambda fr: float((fr.kappa[0] - fr.kappa[1]) ** 2), order=order, max_order=2)
-
-
 def _f2_sums(frame: CurvatureFrame) -> tuple[float, float, float]:
     """(sum_i |f_ii|^2, sum_{i != j} <f_ii, f_jj>, sum_{i != j} |f_ij|^2)."""
     f2 = frame.f2
@@ -214,13 +198,6 @@ def body_residues(body: ManifoldSpec, order: int = 32) -> ResidueReport:
                 sphere_volume(n - 2) / (24.0 * (n * n - 1)) * bh)
 
     return _add_two_orders(rep, at, order, (-n, -n - 1, -n - 3))
-
-
-def body_residue_n3_crosscheck(body: ManifoldSpec, order: int = 32) -> float:
-    """The (3 H^2 - 2 Sc) form of the -n-3 body residue; equals the ||h||, |H| form."""
-    n = body.n
-    return sphere_volume(n - 2) / (24.0 * (n * n - 1)) * frame_integral(
-        body, lambda fr: 3.0 * fr.H ** 2 - 2.0 * fr.scalar_curvature, order=order, max_order=2)
 
 
 def relative_residues(body: ManifoldSpec, order: int = 32) -> ResidueReport:
@@ -567,8 +544,3 @@ def extrinsic_ball_t6(frame: CurvatureFrame) -> float:
     t5 = 72.0 * float(np.einsum("ij,ijkk->", h, h_d2))
     t6 = 24.0 * float(np.einsum("ij,kkij->", h, h_d2))
     return math.pi / 9216.0 * (t1 + t2 + t3 + t4 + t5 + t6)
-
-
-def extrinsic_ball_t6_graph_oracle(frame: CurvatureFrame) -> float:
-    """Independent value: one sixth of the graph-method local residue at -6."""
-    return local_residue_graph(frame, j=2, weight="one") / 6.0

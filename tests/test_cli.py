@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -257,3 +259,86 @@ def test_zero_workers_env_is_config_error(monkeypatch, capsys):
     monkeypatch.setenv("RESIDUE_LAB_WORKERS", "0")
     assert cli.main(["--cmd", "beta", "--shape", _CIRCLE, "--z", "1"]) == 2
     assert "RESIDUE_LAB_WORKERS must be >= 1" in capsys.readouterr().err
+
+
+_SQUARE = '{"kind": "polygon_knot", "params": {"vertices": [[0,0,0],[1,0,0],[1,1,0],[0,1,0]]}}'
+_CHEAP_SHAPES = [_CIRCLE, '{"kind": "sphere", "params": {"m": 2}}',
+                 '{"kind": "ball", "params": {"n": 3}}', _SQUARE]
+_MALFORMED = ["", "-", "--", "nan", "-inf", "1e400", "-1", "0", "abc", ",", "1,,a", "x:y",
+              "0:inf:1", "nan:1:1", "1:0:1", "{", "{}", "[1]", '{"kind": "circle", "params": [1]}',
+              '{"kind": "circle", "params": "ab"}', '{"kind": "cube"}', ".", "/",
+              "/nonexistent/shape.json", "--bogus", "--z", "--order", "--shape", "--cmd",
+              "--out", "verify-not"]
+_OPTIONS = {
+    "--shape": st.one_of(st.sampled_from(_CHEAP_SHAPES), st.sampled_from(_MALFORMED)),
+    "--z": st.one_of(st.sampled_from(["1", "-2,-3", "-1", "0,-0.5", "1e308", "-1e308", "2.5,-4"]),
+                     st.lists(st.floats(-6, 3), min_size=1, max_size=3).map(
+                         lambda zs: ",".join(map(repr, zs)))),
+    "--weight": st.sampled_from(["one", "nu", "normal-product", "relative-boundary",
+                                 "relative-boundary-flipped", "custom"]),
+    "--order": st.sampled_from(["2", "3", "4", "6", "1", "0", "-3", "x", "1e9"]),
+    "--delta": st.sampled_from(["0.05", "0.2", "0.5", "5", "1e-300", "0", "-1", "nan", "inf"]),
+    "--fit-degree": st.sampled_from(["1", "2", "3", "6", "0", "-1", "y"]),
+    "--format": st.sampled_from(["csv", "report", "xml"]),
+    "--workers": st.sampled_from(["1", "2", "0", "z"]),
+    "--sweep": st.sampled_from(["1:1:1", "0.8:1.2:0.4", "-1:1:1", "0:1:0", "2:1:1"]),
+    "--out": st.sampled_from(["/nonexistent/dir/out.csv", "."]),
+}
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(["beta", "residues", "gw", "sweep", "bogus"]))
+    argv = ["--cmd", cmd]
+    flags = draw(st.lists(st.sampled_from(sorted(_OPTIONS)), max_size=4, unique=True))
+    if "--shape" not in flags and draw(st.integers(0, 4)):
+        flags.append("--shape")
+    for flag in flags:
+        argv += [flag, draw(_OPTIONS[flag])]
+    if cmd in ("residues", "gw", "sweep") and "--order" not in argv:
+        argv += ["--order", draw(st.sampled_from(["2", "4"]))]    # keep the run cheap
+    if cmd == "sweep" and "--sweep" not in argv:
+        argv += ["--sweep", "1:1:1"]
+    for token in draw(st.lists(st.sampled_from(_MALFORMED), max_size=1)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_argv())
+def test_cli_exits_0_2_or_3_without_a_traceback(argv):
+    # every argv list maps to a documented exit code; an exception escaping
+    # main() would be a traceback
+    saved = os.environ.get("RESIDUE_LAB_WORKERS")
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        if saved is None:
+            os.environ.pop("RESIDUE_LAB_WORKERS", None)
+        else:
+            os.environ["RESIDUE_LAB_WORKERS"] = saved
+    assert code in (0, 2, 3), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--cmd", "beta", "--shape", "{bad"], 2),
+    (["--cmd", "beta", "--shape", "."], 2),
+    (["--cmd", "beta", "--shape", '{"kind": "circle", "params": [1]}'], 2),
+    (["--cmd", "beta", "--shape", _CIRCLE, "--out", "/nonexistent/dir/out.csv"], 2),
+    (["--cmd", "sweep", "--sweep", "0:inf:1"], 2),
+    (["--cmd", "sweep", "--sweep", "nan:1:1"], 2),
+    (["--cmd", "sweep", "--sweep", "0:1:1e-12"], 2),
+    (["--cmd", "beta", "--shape", _CIRCLE, "--delta", "1e-300"], 3),
+    (["--cmd", "beta", "--shape", _CIRCLE, "--delta", "1e-300", "--fit-degree", "1",
+      "--z", "-5.5"], 3),
+    (["--cmd", "beta", "--shape", _CIRCLE, "--z", "1e308"], 3),
+    (["--cmd", "beta", "--shape", '{"kind": "ball", "params": {"n": 3}}', "--z", "1e308"], 3),
+], ids=lambda v: " ".join(v[-2:]) if isinstance(v, list) else str(v))
+def test_inputs_that_gave_tracebacks_or_nan(argv, code, capsys):
+    # each of these raised a traceback or printed a nan row
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and "nan" not in captured.out

@@ -520,8 +520,8 @@ def _cap(surf, t_grid, x0=np.zeros(3), ng=12):
     from residue_lab.manifold.quadrature import gauss_rule
     gx, gw = gauss_rule(ng)
     dirs, dirw = cont._direction_set(surf.m, 32)
-    return cont._cap_masses_implicit(surf, x0, WeightKind.ONE, t_grid, dirw,
-                                     0.5 * (gx + 1.0), 0.5 * gw, 32)
+    return cont._cap_masses_implicit(surf, x0, WeightKind.ONE, t_grid, dirs, dirw,
+                                     0.5 * (gx + 1.0), 0.5 * gw)
 
 
 def _graph_newton_from_zero(surf, radii):
@@ -640,7 +640,7 @@ def test_cap_angle_newton_matches_nested_loop(spec):
         rho, _ = cont._cap_boundary(imp, x0, nu, np.repeat(e, len(t), axis=0),
                                     np.tile(t, len(dirs)))
         assert np.max(np.abs(rho.reshape(rho_ref.shape) / rho_ref - 1.0)) <= 1e-12
-        mass = cont._cap_masses_implicit(spec, x0, WeightKind.ONE, t, dirw, gx, gw, 32)
+        mass = cont._cap_masses_implicit(spec, x0, WeightKind.ONE, t, dirs, dirw, gx, gw)
         assert np.max(np.abs(mass / mass_ref - 1.0)) <= 1e-12
 
 
@@ -675,6 +675,88 @@ def test_cap_solve_takes_nine_point_evaluations_per_torus_node(torus_spec):
     x0 = spec.patches[0].chart(np.array([[0.3, 1.1]]))[0]
     _cap(spec, t, x0)
     assert len(calls) <= 9
+
+
+def _near_masses_per_node(spec, weight, t_grid, order_sub, n_ang=32):
+    """The cap loop over every node of the tensor grid, with no orbit reduction."""
+    from residue_lab.manifold.quadrature import gauss_rule, patch_grid, volume_element
+    surf = spec.surface()
+    dirs, dirw = cont._direction_set(surf.m, n_ang)
+    gx, gw = gauss_rule(12)
+    patch = surf.patches[0]
+    u0s, wp = patch_grid(patch, order_sub)
+    wq = wp * volume_element(patch, u0s)
+    masses = np.zeros(len(t_grid))
+    for u0, wx in zip(u0s, wq):
+        x0 = patch.chart(u0[None, :])[0]
+        masses += wx * cont._cap_masses_implicit(surf, x0, weight, t_grid, dirs, dirw,
+                                                 0.5 * (gx + 1.0), 0.5 * gw)
+    return np.diff(np.concatenate([[0.0], masses]))
+
+
+def _torus_image():
+    from residue_lab import mobius as MB
+    inv = MB.MobiusMap((MB.Inversion(center=(0.0, 0.0, 3.0), radius=1.0),))
+    return MB.transform_spec(M.torus(2.0, 1.0), inv, axis_symmetric=True)
+
+
+def test_axis_symmetric_shapes():
+    from residue_lab import mobius as MB
+    yes = [M.torus(2.0, 1.0), M.sphere(2, 1.0), M.sphere(3, 0.5), M.spheroid(1.3),
+           M.ellipsoid((1.0, 1.0, 0.7)), M.ellipsoid((2.0, 2.0, 2.0, 2.0, 1.0)), _torus_image()]
+    no = [M.circle(1.0), M.ellipse(1.0, 0.6), M.ellipsoid((1.0, 1.3, 0.8)),
+          M.ellipsoid((1.0, 1.0, 1.0, 1.2, 1.0)), M.clifford_torus(1.0, 1.0),
+          M.polygon_knot([[0, 0, 0], [1, 0, 0], [0, 1, 0]]),
+          MB.transform_spec(M.torus(2.0, 1.0), MB.MobiusMap(
+              (MB.Inversion(center=(0.0, 0.0, 3.0), radius=1.0),)))]
+    assert all(M.shapes.axis_symmetric(s) for s in yes)
+    assert not any(M.shapes.axis_symmetric(s) for s in no)
+
+
+@pytest.mark.parametrize("spec, weight", [
+    (M.torus(2.0, 1.0), WeightKind.ONE), (M.torus(2.0, 1.0), WeightKind.NU),
+    (M.ellipsoid((1.0, 1.0, 0.7)), WeightKind.ONE), (_torus_image(), WeightKind.ONE)],
+    ids=["torus-one", "torus-nu", "ellipsoid-110.7", "torus-image"])
+def test_orbit_reduced_near_masses_match_the_per_node_loop(spec, weight, monkeypatch):
+    # cap masses are rotation invariant: one cap per grid row {u[0] = c}
+    delta = 0.2 * M.reach_estimate(spec)
+    t = delta * np.arange(1, 17) / 16
+    calls = []
+    cap = cont._cap_masses_implicit
+    monkeypatch.setattr(cont, "_cap_masses_implicit",
+                        lambda *a: calls.append(1) or cap(*a))
+    reduced = cont._near_masses(spec, weight, delta, t, 10, 32)
+    monkeypatch.undo()
+    assert len(calls) == 10
+    ref = _near_masses_per_node(spec, weight, t, 10)
+    assert np.max(np.abs(reduced / ref - 1.0)) <= 1e-13
+
+
+def test_generic_ellipsoid_keeps_one_cap_per_node(monkeypatch):
+    spec = M.ellipsoid((1.0, 1.3, 0.8))
+    delta = 0.2 * M.reach_estimate(spec)
+    t = delta * np.arange(1, 17) / 16
+    calls = []
+    cap = cont._cap_masses_implicit
+    monkeypatch.setattr(cont, "_cap_masses_implicit",
+                        lambda *a: calls.append(1) or cap(*a))
+    masses = cont._near_masses(spec, WeightKind.ONE, delta, t, 8, 32)
+    assert len(calls) == 64
+    monkeypatch.undo()
+    assert np.array_equal(masses, _near_masses_per_node(spec, WeightKind.ONE, t, 8))
+    # the reduction would be wrong here: the caps vary along each row
+    monkeypatch.setattr(cont, "axis_symmetric", lambda s: True)
+    wrong = cont._near_masses(spec, WeightKind.ONE, delta, t, 8, 32)
+    assert np.max(np.abs(wrong / masses - 1.0)) > 1e-6
+
+
+def test_torus_profile_solves_one_cap_per_theta_row(torus_spec, monkeypatch):
+    calls = []
+    cap = cont._cap_masses_implicit
+    monkeypatch.setattr(cont, "_cap_masses_implicit",
+                        lambda *a: calls.append(1) or cap(*a))
+    cont.distance_profile(torus_spec, order=64)
+    assert len(calls) == 32
 
 
 @pytest.mark.parametrize("R", [20.0, 50.0])

@@ -13,10 +13,9 @@ import residue_lab.manifold as M
 from residue_lab.manifold.frames import CurvatureFrame, curvature_frame
 from residue_lab.manifold.localexp import (local_residue_graph,
                                            relative_local_residue)
-from residue_lab.residues import (extrinsic_ball_t6, extrinsic_ball_t6_graph_oracle,
-                                  local_r8_nu_raw, local_r8_raw, local_residue_m2,
-                                  local_residue_m2_nu, meansq_from_residues,
-                                  scalar_from_residues)
+from residue_lab.residues import (extrinsic_ball_t6, local_r8_nu_raw, local_r8_raw,
+                                  local_residue_m2, local_residue_m2_nu,
+                                  meansq_from_residues, scalar_from_residues)
 from residue_lab.oracles import sphere_volume
 
 
@@ -130,14 +129,19 @@ def test_relative_difference_vanishes_on_spheres():
     assert rb - rl == pytest.approx(0.0, abs=1e-13)
 
 
+def _extrinsic_ball_t6_graph_oracle(frame: CurvatureFrame) -> float:
+    """Independent value: one sixth of the graph-method local residue at -6."""
+    return local_residue_graph(frame, j=2, weight="one") / 6.0
+
+
 def test_extrinsic_ball_t6_cross_method():
     # unit sphere, torus point, flat plane
     fr_s = curvature_frame(M.sphere(2, 1.0), [1.1, 0.7])
     assert extrinsic_ball_t6(fr_s) == pytest.approx(
-        extrinsic_ball_t6_graph_oracle(fr_s), rel=1e-6)
+        _extrinsic_ball_t6_graph_oracle(fr_s), rel=1e-6)
     fr_t = curvature_frame(M.torus(2.0, 1.0), [0.8, 2.0])
     assert extrinsic_ball_t6(fr_t) == pytest.approx(
-        extrinsic_ball_t6_graph_oracle(fr_t), rel=1e-5)
+        _extrinsic_ball_t6_graph_oracle(fr_t), rel=1e-5)
     flat = CurvatureFrame(x=np.zeros(3), tangent=np.eye(3)[:2],
                           normal_basis=np.eye(3)[2:],
                           f2=np.zeros((2, 2, 1)), f3=np.zeros((2, 2, 2, 1)),
@@ -146,4 +150,4 @@ def test_extrinsic_ball_t6_cross_method():
     # random jets too
     fr_r = random_frame(2, 1, 41)
     assert extrinsic_ball_t6(fr_r) == pytest.approx(
-        extrinsic_ball_t6_graph_oracle(fr_r), rel=1e-9)
+        _extrinsic_ball_t6_graph_oracle(fr_r), rel=1e-9)

@@ -18,6 +18,19 @@ def test_residue_first_examples():
         1.7 ** 2 * 8 * math.pi ** 2, rel=1e-10)
 
 
+def _residue_second_surface_form(spec, order):
+    """(pi/8) int (kappa_1 - kappa_2)^2 for closed surfaces in R^3; equals residue_second."""
+    return (math.pi / 8.0) * R.frame_integral(
+        spec, lambda fr: float((fr.kappa[0] - fr.kappa[1]) ** 2), order=order, max_order=2)
+
+
+def _body_residue_n3_crosscheck(body, order):
+    """The (3 H^2 - 2 Sc) form of the -n-3 body residue; equals the ||h||, |H| form."""
+    n = body.n
+    return sphere_volume(n - 2) / (24.0 * (n * n - 1)) * R.frame_integral(
+        body, lambda fr: 3.0 * fr.H ** 2 - 2.0 * fr.scalar_curvature, order=order, max_order=2)
+
+
 def test_residue_second_examples():
     assert R.residue_second(M.sphere(2, 1.0), order=24) == pytest.approx(0.0, abs=1e-12)
     assert R.residue_second(M.circle(1.0), order=48) == pytest.approx(
@@ -25,7 +38,7 @@ def test_residue_second_examples():
     # surface form (pi/8) int (k1 - k2)^2 agrees on surfaces
     tor = M.torus(2.0, 1.0)
     assert R.residue_second(tor, order=40) == pytest.approx(
-        R.residue_second_surface_form(tor, order=40), rel=1e-12)
+        _residue_second_surface_form(tor, order=40), rel=1e-12)
 
 
 def test_body_residues_ball3():
@@ -34,7 +47,7 @@ def test_body_residues_ball3():
     assert rep.value(-4) == pytest.approx(-4 * math.pi ** 2, rel=1e-12)
     assert rep.value(-6) == pytest.approx(math.pi ** 2 / 3, rel=1e-12)
     # the (3H^2 - 2Sc) cross-check form
-    assert R.body_residue_n3_crosscheck(M.ball(3, 1.0), order=32) == pytest.approx(
+    assert _body_residue_n3_crosscheck(M.ball(3, 1.0), order=32) == pytest.approx(
         math.pi ** 2 / 3, rel=1e-12)
 
 
