@@ -169,9 +169,10 @@ def cmd_residues(args) -> int:
         for pole, (v, meth, err) in rel.entries.items():
             rep.metadata[f"relative[{fmt_float(pole)}]"] = fmt_float(v)
     else:
-        rep = res.ResidueReport(metadata={"kind": spec.kind, "m": spec.m})
-        rep.add(-spec.m, res.residue_first(spec, order=order), "curvature")
-        rep.add(-spec.m - 2, res.residue_second(spec, order=order), "curvature")
+        rep = res._add_two_orders(
+            res.ResidueReport(metadata={"kind": spec.kind, "m": spec.m}),
+            lambda o: (res.residue_first(spec, o), res.residue_second(spec, o)),
+            order, (-spec.m, -spec.m - 2))
         if spec.m == 4 and spec.codim == 1:
             r8, r8nu = res.m8_residues(spec, order=max(order, 48))
             rep.add(-8.0, r8["modified"], "curvature-order3", r8["spread"])

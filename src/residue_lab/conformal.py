@@ -134,7 +134,7 @@ def gw_density(fr: CurvatureFrame) -> float:
             + 7.0 / 16.0 * float(np.sum(Hv ** 2)) ** 2) / 128.0
 
 
-def graham_witten(spec: ManifoldSpec, order: int = 48, reduced: bool = True) -> float:
+def graham_witten(spec: ManifoldSpec, order: int = 48) -> float:
     """Graham-Witten energy of a closed 4-D submanifold: the integral of
     ``gw_density`` over one pass of order-3 frames.
 
@@ -143,7 +143,7 @@ def graham_witten(spec: ManifoldSpec, order: int = 48, reduced: bool = True) -> 
     surf = spec.surface()
     if surf.m != 4:
         raise NumericError("graham_witten needs a 4-dimensional submanifold")
-    return frame_integral(spec, gw_density, order=order, max_order=3, reduced=reduced)
+    return frame_integral(spec, gw_density, order=order, max_order=3)
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +157,7 @@ def _energy_densities(fr: CurvatureFrame) -> tuple:
             *r8_modified_densities(fr))
 
 
-def energy_breakdown(spec: ManifoldSpec, order: int = 48,
-                     reduced: bool = True) -> EnergyBreakdown:
+def energy_breakdown(spec: ManifoldSpec, order: int = 48) -> EnergyBreakdown:
     """All conformal energies of a closed 4-D hypersurface, plus the identity
     residual gw - (3/2pi^2)(R_nu + 2 R) + (1/2048)(12 int|W|^2 + 5 Z).
 
@@ -168,7 +167,7 @@ def energy_breakdown(spec: ManifoldSpec, order: int = 48,
     if surf.m != 4 or surf.codim != 1:
         raise NumericError("energy_breakdown needs a 4-D hypersurface")
     gw, weyl, chern, z_en, r8, r8_nu = frame_integral(
-        spec, _energy_densities, order=order, max_order=3, reduced=reduced)
+        spec, _energy_densities, order=order, max_order=3)
     resid = (gw - 3.0 / (2.0 * math.pi ** 2) * (r8_nu + 2.0 * r8)
              + (12.0 * weyl + 5.0 * z_en) / 2048.0)
     return EnergyBreakdown(gw=gw, weyl=weyl, chern=chern, z_energy=z_en,

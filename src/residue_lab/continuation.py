@@ -32,9 +32,9 @@ from scipy.special import roots_jacobi
 
 from ._util import ConfigError, NumericError, chunked_map_reduce, fmt_float
 from .manifold.frames import reach_estimate
-from .manifold.quadrature import (gauss_on, gauss_rule, patch_grid, patch_jacobian,
-                                  sample_quadrature, volume_element)
-from .manifold.shapes import ManifoldSpec, axis_symmetric
+from .manifold.quadrature import (gauss_on, gauss_rule, integration_grid, patch_grid,
+                                  patch_jacobian, sample_quadrature, volume_element)
+from .manifold.shapes import ManifoldSpec
 
 POLE_GUARD = 1e-3
 # the circle on which ``_laurent`` takes the Laurent data of composite energies
@@ -477,10 +477,9 @@ def _near_masses(spec, weight, delta, t_grid, order_sub, n_ang):
     radius where the chord distance crosses each t, then integrate the
     volume element radially.
 
-    Cap masses and pair weights are invariant under isometries, so on an
-    ``axis_symmetric`` shape they are constant on each grid row {u[0] = c}:
-    there the caps are solved at the first node of each row, which carries
-    the row's summed weight.
+    Cap masses and pair weights are invariant under isometries, so the outer
+    nodes are those of ``integration_grid``: one per rotation orbit on an
+    axis-symmetric shape.
     """
     surf = spec.surface()
     m = surf.m
@@ -492,13 +491,8 @@ def _near_masses(spec, weight, delta, t_grid, order_sub, n_ang):
     masses = np.zeros(nbin)
     tmax = float(t_grid[-1])
     use_implicit = surf.implicit is not None and surf.codim == 1
-    orbits = axis_symmetric(surf)
-    for patch in surf.patches:
-        u0s, wp = patch_grid(patch, order_sub)
-        wq = wp * volume_element(patch, u0s)
-        if orbits:
-            u0s = u0s.reshape(order_sub, -1, m)[:, 0]
-            wq = wq.reshape(order_sub, -1).sum(axis=1)
+    for pi, u0s, wq in integration_grid(surf, order_sub):
+        patch = surf.patches[pi]
         for u0, wx in zip(u0s, wq):
             x0 = patch.chart(u0[None, :])[0]
             if use_implicit:

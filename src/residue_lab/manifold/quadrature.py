@@ -1,11 +1,12 @@
 """Quadrature sampling of manifold specs.
 
 Tensor-product Gauss-Legendre nodes per patch, with weights premultiplied by
-the Riemannian volume element sqrt(det g). Jacobians are exact where the
-patch carries one (every builtin chart and its Moebius images); user patches
-and offset charts use Richardson-extrapolated central differences. A user
-hypersurface patch without a ``normal`` is oriented by its parametrization
-(``normals_on_patch``).
+the Riemannian volume element sqrt(det g); integrals of invariants over an
+axis-symmetric shape take one node per rotation orbit (``integration_grid``).
+Jacobians are exact where the patch carries one (every builtin chart and its
+Moebius images); user patches and offset charts use Richardson-extrapolated
+central differences. A user hypersurface patch without a ``normal`` is
+oriented by its parametrization (``normals_on_patch``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .._util import NumericError
-from .shapes import ManifoldSpec, Patch
+from ..oracles import sphere_volume
+from .shapes import ManifoldSpec, Patch, axis_symmetric
 
 
 class DegenerateJacobianError(NumericError):
@@ -121,6 +123,34 @@ def patch_grid(patch: Patch, order: int):
     return u, w.ravel()
 
 
+def _tensor_blocks(surf: ManifoldSpec, order: int):
+    """(patch index, u, w) per patch: its tensor grid, w carrying sqrt(det g)."""
+    blocks = []
+    for pi, patch in enumerate(surf.patches):
+        u, wp = patch_grid(patch, order)
+        blocks.append((pi, u, wp * volume_element(patch, u)))
+    return blocks
+
+
+def integration_grid(spec: ManifoldSpec, order: int):
+    """(patch index, parameter rows, weights) blocks that integrate an
+    isometry invariant over the spec (its boundary if the spec is a body).
+
+    Generic shapes get the tensor grid of every patch. An invariant is
+    constant on each rotation orbit {u[0] = c} of an ``axis_symmetric``
+    shape, so there u[0] takes the Gauss nodes and the fiber u[1:] its box
+    midpoints, where every polar angle is pi/2 and the hyperspherical fiber
+    density is 1: the orbit's volume is sqrt(det g) o_{m-1}.
+    """
+    surf = spec.surface()
+    if not axis_symmetric(surf):
+        return _tensor_blocks(surf, order)
+    patch = surf.patches[0]
+    u = np.tile([0.5 * (a + b) for a, b in patch.box], (order, 1))
+    u[:, 0], w0 = gauss_on(*patch.box[0], order)
+    return [(0, u, w0 * volume_element(patch, u) * sphere_volume(surf.m - 1))]
+
+
 def sample_quadrature(spec: ManifoldSpec, order: int, with_normals: bool | None = None) -> NodeSet:
     """Quadrature nodes on the spec (its boundary if the spec is a body)."""
     if order < 2:
@@ -129,13 +159,11 @@ def sample_quadrature(spec: ManifoldSpec, order: int, with_normals: bool | None 
     if with_normals is None:
         with_normals = surf.codim == 1
     u_all, x_all, w_all, nu_all, labels = [], [], [], [], []
-    for patch in surf.patches:
-        u, wp = patch_grid(patch, order)
-        x = patch.chart(u)
-        sg = volume_element(patch, u)
+    for pi, u, w in _tensor_blocks(surf, order):
+        patch = surf.patches[pi]
         u_all.append(u)
-        x_all.append(x)
-        w_all.append(wp * sg)
+        x_all.append(patch.chart(u))
+        w_all.append(w)
         labels.extend([patch.label] * len(u))
         if with_normals:
             nu_all.append(normals_on_patch(surf, patch, u))
@@ -170,9 +198,12 @@ def body_volume(body: ManifoldSpec, order: int) -> float:
     """Volume of a compact body via the divergence theorem on its boundary."""
     if not body.is_body:
         raise ValueError("body_volume needs a body")
-    nodes = sample_quadrature(body, order, with_normals=True)
-    flux = np.einsum("ni,ni->n", nodes.x, nodes.nu)
-    return float(np.dot(nodes.w, flux)) / body.n
+    surf = body.surface()
+    flux = 0.0
+    for pi, u, w in integration_grid(surf, order):
+        p = surf.patches[pi]
+        flux += float(np.dot(w, np.einsum("ni,ni->n", p.chart(u), normals_on_patch(surf, p, u))))
+    return flux / body.n
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +216,6 @@ def sphere_monomial_integral(m: int, exponents) -> float:
     Uses int = o_{m-1} * prod (e_i - 1)!! / (m (m+2) ... (m + 2(s-1))) with
     s = (sum e_i)/2.
     """
-    from ..oracles import sphere_volume
     es = list(exponents) + [0] * (m - len(list(exponents)))
     if any(e % 2 for e in es):
         return 0.0

@@ -91,7 +91,8 @@ def axis_symmetric(spec: ManifoldSpec) -> bool:
     itself, and each chart fiber {u[0] = c} is one orbit of them.
 
     True for the torus, round spheres, spheroids, ellipsoids with equal first
-    n-1 semiaxes (m >= 2) and Moebius images flagged ``axis_symmetric``.
+    n-1 semiaxes (m >= 2) and the Moebius images that ``transform_spec``
+    marks ``axis_symmetric``.
     Anything invariant under those rotations (cap masses, volume-element
     fiber sums) then depends on u[0] alone.
     """

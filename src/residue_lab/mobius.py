@@ -8,7 +8,7 @@ import numpy as np
 
 from ._util import NumericError
 from .manifold.quadrature import patch_jacobian, sample_quadrature
-from .manifold.shapes import ImplicitPoly, ManifoldSpec, Patch
+from .manifold.shapes import ImplicitPoly, ManifoldSpec, Patch, axis_symmetric
 
 GUARD_FRACTION = 1e-2  # minimum distance of samples to an inversion center, x diameter
 
@@ -154,8 +154,15 @@ def _orientation(implicit: ImplicitPoly, mmap: MobiusMap) -> float:
     return -1.0 if float(implicit.value(y)[0]) < 0.0 else 1.0
 
 
-def transform_spec(spec: ManifoldSpec, mmap: MobiusMap,
-                   axis_symmetric: bool = False) -> ManifoldSpec:
+def _fixes_last_axis(step, n: int) -> bool:
+    """The step commutes with the rotations that fix the last ambient axis."""
+    if isinstance(step, Inversion):
+        return not any(step.center[:n - 1])
+    return ((step.translation is None or not any(step.translation[:n - 1]))
+            and np.array_equal(step.matrix(n), np.eye(n)))
+
+
+def transform_spec(spec: ManifoldSpec, mmap: MobiusMap) -> ManifoldSpec:
     """Compose every patch with the map; Jacobians and normals are pushed
     forward by the map's differential.
 
@@ -166,9 +173,9 @@ def transform_spec(spec: ManifoldSpec, mmap: MobiusMap,
     oriented outward: both are negated when the map turns the source inside
     out (an inversion center inside the source).
 
-    ``axis_symmetric`` marks images that keep the rotational symmetry about
-    the last ambient axis (inversion centers on that axis), enabling the
-    theta_1-line reduction downstream.
+    The image is ``axis_symmetric`` when the source is and every step fixes
+    the last ambient axis: inversion centers and translations on it, no
+    rotation. Its integrals then take one node per rotation orbit.
     """
     surf = spec.surface()
     nodes = sample_quadrature(surf, 16, with_normals=False)
@@ -195,7 +202,7 @@ def transform_spec(spec: ManifoldSpec, mmap: MobiusMap,
 
     patches = tuple(make(p) for p in surf.patches)
     params = {"base": surf.kind}
-    if axis_symmetric:
+    if axis_symmetric(surf) and all(_fixes_last_axis(s, surf.n) for s in mmap.steps):
         params["axis_symmetric"] = True
     new_surf = ManifoldSpec(kind="transformed", m=surf.m, n=surf.n, patches=patches,
                             params=params, oriented=surf.oriented, closed=surf.closed,
@@ -248,9 +255,12 @@ def _quantity(spec: ManifoldSpec, name: str, order: int):
 
 def invariance_report(spec: ManifoldSpec, mmap: MobiusMap, quantity: str,
                       order: int = 32, axis_symmetric: bool = False) -> dict:
-    """Recompute the selected quantity on the transformed spec from scratch."""
+    """Recompute the selected quantity on the transformed spec from scratch;
+    ``axis_symmetric=True`` raises unless ``transform_spec`` finds the image so."""
+    image = transform_spec(spec, mmap)
+    if axis_symmetric and not image.params.get("axis_symmetric"):
+        raise NumericError("the Moebius image is not symmetric about the last axis")
     before = _quantity(spec, quantity, order)
-    image = transform_spec(spec, mmap, axis_symmetric=axis_symmetric)
     after = _quantity(image, quantity, order)
     return {"before": before, "after": after, "diff": abs(after - before),
             "rel": abs(after - before) / max(abs(before), 1e-300)}

@@ -15,9 +15,9 @@ import numpy as np
 
 from ._util import NumericError, fmt_float
 from .manifold.frames import CurvatureFrame, curvature_frame
-from .manifold.quadrature import (body_volume, gauss_on, patch_grid, sample_quadrature,
-                                  volume_element)
-from .manifold.shapes import ManifoldSpec, axis_symmetric
+from .manifold.quadrature import body_volume, integration_grid
+from .manifold.quadrature import sample_quadrature  # noqa: F401  (bench/spans.py wraps it here)
+from .manifold.shapes import ManifoldSpec
 from .oracles import ball_volume, sphere_volume
 
 
@@ -47,51 +47,18 @@ class ResidueReport:
 # frame iteration
 # ---------------------------------------------------------------------------
 
-def _line_reducible(surf: ManifoldSpec) -> bool:
-    """A 4-D shape symmetric under rotations that fix the last ambient axis."""
-    return surf.m == 4 and axis_symmetric(surf)
-
-
-_LINE_FIBER_ANGLES = (1.0, 1.3, 0.7)
-
-
-def _integration_nodes(spec: ManifoldSpec, order: int, reduced: bool):
-    """(patch index, parameter rows, weights) blocks of ``frame_integral``.
-
-    On the reduced line the weights carry the fiber factor 2 pi^2 and divide
-    out the fiber part of the volume element at the fixed fiber angles.
-    """
-    surf = spec.surface()
-    if reduced and _line_reducible(surf):
-        t2, t3, t4 = _LINE_FIBER_ANGLES
-        fiber = 2.0 * math.pi ** 2
-        denom = math.sin(t2) ** 2 * math.sin(t3)
-        ts, ws = gauss_on(0.0, math.pi, order)
-        u = np.stack([ts, np.full_like(ts, t2), np.full_like(ts, t3),
-                      np.full_like(ts, t4)], axis=1)
-        sg = volume_element(surf.patches[0], u)
-        return [(0, u, ws * (sg / denom) * fiber)]
-    blocks = []
-    for pi, patch in enumerate(surf.patches):
-        u, wp = patch_grid(patch, order)
-        blocks.append((pi, u, wp * volume_element(patch, u)))
-    return blocks
-
-
-def frame_integral(spec: ManifoldSpec, fn, order: int = 32, max_order: int = 2,
-                   reduced: bool = True):
+def frame_integral(spec: ManifoldSpec, fn, order: int = 32, max_order: int = 2):
     """Integral over the spec (boundary of a body) of a frame functional.
 
     ``fn`` maps a CurvatureFrame to a number, or to a tuple or 1-D array of
     numbers; a vector integrand gives the array of its component integrals,
     each bit-identical to a scalar call with that component alone. Each
-    node's frame is built once, at ``max_order``. For 4-dimensional shapes
-    that are rotation-symmetric about the last ambient axis, the fiber
-    directions integrate out to 2 pi^2 and the integral reduces to a single
-    line of frames, unless ``reduced`` is False.
+    node of ``integration_grid`` gets one frame, built at ``max_order``: one
+    per rotation orbit on axis-symmetric shapes, one per tensor-grid node
+    otherwise.
     """
     total = 0.0
-    for pi, u, weights in _integration_nodes(spec, order, reduced):
+    for pi, u, weights in integration_grid(spec, order):
         for row, w in zip(u, weights):
             fr = curvature_frame(spec, row, patch_index=pi, max_order=max_order)
             total = total + w * np.asarray(fn(fr), dtype=float)
@@ -99,14 +66,8 @@ def frame_integral(spec: ManifoldSpec, fn, order: int = 32, max_order: int = 2,
 
 
 def volume(spec: ManifoldSpec, order: int = 32) -> float:
-    surf = spec.surface()
-    if _line_reducible(surf):
-        (_, _, weights), = _integration_nodes(spec, order, True)
-        total = 0.0
-        for w in weights:   # in node order, as frame_integral sums
-            total += w
-        return float(total)
-    return sample_quadrature(surf, order).total_weight
+    """The m-volume of the spec (the boundary area of a body)."""
+    return sum(float(w.sum()) for _, _, w in integration_grid(spec, order))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +151,7 @@ def body_residues(body: ManifoldSpec, order: int = 32) -> ResidueReport:
 
     def at(o):
         vol = body_volume(body, o)
-        area = sample_quadrature(body.boundary, o).total_weight
+        area = volume(body, o)
         bh = frame_integral(body, lambda fr: 2.0 * fr.hs_norm_sq + fr.mean_sq,
                             order=o, max_order=2)
         return (sphere_volume(n - 1) * vol,
@@ -213,7 +174,7 @@ def relative_residues(body: ManifoldSpec, order: int = 32) -> ResidueReport:
     rep = ResidueReport(metadata={"kind": body.kind, "n": n, "relative": True})
 
     def at(o):
-        area = sample_quadrature(body.boundary, o).total_weight
+        area = volume(body, o)
         h_int, cube = frame_integral(
             body, lambda fr: (fr.H, 4.0 * float(np.sum(fr.kappa ** 3)) - fr.H ** 3),
             order=o, max_order=2)
@@ -363,8 +324,7 @@ def _m8_integrands(fr: CurvatureFrame):
     return mod, raw, nu_mod, nu_raw
 
 
-def m8_residues(spec: ManifoldSpec, order: int = 48,
-                reduced: bool = True) -> tuple[dict, dict]:
+def m8_residues(spec: ManifoldSpec, order: int = 48) -> tuple[dict, dict]:
     """(residue_m8, nu_residue_m8) of a closed 4-D hypersurface from one
     max_order=4 frame pass, both computation paths.
 
@@ -375,19 +335,19 @@ def m8_residues(spec: ManifoldSpec, order: int = 48,
     surf = spec.surface()
     if surf.m != 4 or surf.codim != 1:
         raise NumericError("the z = -8 residues need a closed 4-D hypersurface")
-    vals = frame_integral(spec, _m8_integrands, order=order, max_order=4, reduced=reduced)
+    vals = frame_integral(spec, _m8_integrands, order=order, max_order=4)
     return tuple({"modified": mod, "raw": raw, "spread": abs(mod - raw)}
                  for mod, raw in (vals[0:2], vals[2:4]))
 
 
-def residue_m8(spec: ManifoldSpec, order: int = 48, reduced: bool = True) -> dict:
+def residue_m8(spec: ManifoldSpec, order: int = 48) -> dict:
     """The weight-one entry of ``m8_residues``."""
-    return m8_residues(spec, order, reduced)[0]
+    return m8_residues(spec, order)[0]
 
 
-def nu_residue_m8(spec: ManifoldSpec, order: int = 48, reduced: bool = True) -> dict:
+def nu_residue_m8(spec: ManifoldSpec, order: int = 48) -> dict:
     """The nu-weighted entry of ``m8_residues``."""
-    return m8_residues(spec, order, reduced)[1]
+    return m8_residues(spec, order)[1]
 
 
 # ---------------------------------------------------------------------------

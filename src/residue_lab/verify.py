@@ -92,8 +92,7 @@ def _mobius_report(which: str):
         sp = shapes.spheroid(math.sqrt(2))
         mps = mobius.MobiusMap((mobius.Inversion(center=(0.0, 0.0, 0.0, 0.0, 3.0),
                                                  radius=1.0),))
-        return mobius.invariance_report(sp, mps, "residue_m8", order=40,
-                                        axis_symmetric=True)
+        return mobius.invariance_report(sp, mps, "residue_m8", order=40)
     raise KeyError(which)
 
 

@@ -66,6 +66,19 @@ def test_residues_command_ball(tmp_path, capsys):
     assert rows["-3"] == pytest.approx(16 * math.pi ** 2 / 3, rel=1e-9)
 
 
+def test_residues_command_five_sphere_reports_real_errors(capsys):
+    # one frame per rotation orbit; each error is the spread to order + 4
+    code, out = run_cli(["--cmd", "residues", "--shape",
+                         '{"kind": "sphere", "params": {"m": 5}}'], capsys)
+    assert code == 0 and "nan" not in out
+    rows = {ln.split()[1]: [float(t) for t in ln.split()[2:5:2]]
+            for ln in out.splitlines() if ln.startswith("residue ")}
+    o4, o5 = oracles.sphere_volume(4), oracles.sphere_volume(5)
+    assert rows["-5"][0] == pytest.approx(o4 * o5, rel=1e-12)
+    assert rows["-7"][0] == pytest.approx(o4 / 40.0 * (10.0 - 25.0) * o5, rel=1e-12)
+    assert all(0.0 <= err <= 1e-10 for _, err in rows.values())
+
+
 def test_residues_command_polygon(tmp_path, capsys):
     cfg = shape_file(tmp_path, {
         "kind": "polygon_knot",

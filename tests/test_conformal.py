@@ -58,8 +58,8 @@ def test_grad_h_sq_matches_finite_differences():
 def test_graham_witten_generic_ellipsoid_scale_invariant():
     # no rotation symmetry: the full 4-parameter grid, exact jets throughout
     el = M.ellipsoid((1.0, 1.2, 0.9, 1.1, 1.3))
-    gw = CF.graham_witten(el, order=6, reduced=False)
-    gw2 = CF.graham_witten(M.scaled(el, 2.0), order=6, reduced=False)
+    gw = CF.graham_witten(el, order=6)
+    gw2 = CF.graham_witten(M.scaled(el, 2.0), order=6)
     assert math.isfinite(gw)
     assert gw2 == pytest.approx(gw, rel=1e-10)
 

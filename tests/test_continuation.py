@@ -12,6 +12,7 @@ import residue_lab.manifold as M
 import residue_lab.oracles as O
 from residue_lab._util import ConfigError, NumericError
 from residue_lab.continuation import ReachError, WeightKind
+from residue_lab.manifold import quadrature
 
 
 # --- profiles ---------------------------------------------------------------
@@ -697,18 +698,22 @@ def _near_masses_per_node(spec, weight, t_grid, order_sub, n_ang=32):
 def _torus_image():
     from residue_lab import mobius as MB
     inv = MB.MobiusMap((MB.Inversion(center=(0.0, 0.0, 3.0), radius=1.0),))
-    return MB.transform_spec(M.torus(2.0, 1.0), inv, axis_symmetric=True)
+    return MB.transform_spec(M.torus(2.0, 1.0), inv)
 
 
 def test_axis_symmetric_shapes():
     from residue_lab import mobius as MB
+    c, s = math.cos(0.3), math.sin(0.3)
+    rot = ((c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0))
     yes = [M.torus(2.0, 1.0), M.sphere(2, 1.0), M.sphere(3, 0.5), M.spheroid(1.3),
            M.ellipsoid((1.0, 1.0, 0.7)), M.ellipsoid((2.0, 2.0, 2.0, 2.0, 1.0)), _torus_image()]
     no = [M.circle(1.0), M.ellipse(1.0, 0.6), M.ellipsoid((1.0, 1.3, 0.8)),
           M.ellipsoid((1.0, 1.0, 1.0, 1.2, 1.0)), M.clifford_torus(1.0, 1.0),
           M.polygon_knot([[0, 0, 0], [1, 0, 0], [0, 1, 0]]),
           MB.transform_spec(M.torus(2.0, 1.0), MB.MobiusMap(
-              (MB.Inversion(center=(0.0, 0.0, 3.0), radius=1.0),)))]
+              (MB.Inversion(center=(0.3, 0.0, 3.0), radius=1.0),))),
+          MB.transform_spec(M.torus(2.0, 1.0), MB.MobiusMap(
+              (MB.Similarity(rotation=rot),)))]
     assert all(M.shapes.axis_symmetric(s) for s in yes)
     assert not any(M.shapes.axis_symmetric(s) for s in no)
 
@@ -745,7 +750,7 @@ def test_generic_ellipsoid_keeps_one_cap_per_node(monkeypatch):
     monkeypatch.undo()
     assert np.array_equal(masses, _near_masses_per_node(spec, WeightKind.ONE, t, 8))
     # the reduction would be wrong here: the caps vary along each row
-    monkeypatch.setattr(cont, "axis_symmetric", lambda s: True)
+    monkeypatch.setattr(quadrature, "axis_symmetric", lambda s: True)
     wrong = cont._near_masses(spec, WeightKind.ONE, delta, t, 8, 32)
     assert np.max(np.abs(wrong / masses - 1.0)) > 1e-6
 

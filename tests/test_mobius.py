@@ -97,6 +97,16 @@ def test_nu_residue_m4_invariance_torus():
     assert rep["rel"] < 1e-6
 
 
+def test_invariance_report_checks_the_symmetry_it_is_told_of():
+    tor = M.torus(2.0, 1.0)
+    off_axis = MB.MobiusMap((MB.Inversion(center=(0.3, 0.0, 3.0), radius=1.0),))
+    with pytest.raises(NumericError):
+        MB.invariance_report(tor, off_axis, "residue_m4", axis_symmetric=True)
+    on_axis = MB.MobiusMap((MB.Inversion(center=(0.0, 0.0, 3.0), radius=1.0),))
+    rep = MB.invariance_report(tor, on_axis, "residue_m4", axis_symmetric=True)
+    assert rep["rel"] < 1e-6
+
+
 def test_invariance_quantities_unknown():
     with pytest.raises(NumericError):
         MB._quantity(M.sphere(2, 1.0), "bogus", 16)
@@ -110,8 +120,7 @@ def _verify_inversion():
 
 
 def test_spheroid_image_carries_an_exact_implicit():
-    img = MB.transform_spec(M.spheroid(math.sqrt(2)), _verify_inversion(),
-                            axis_symmetric=True)
+    img = MB.transform_spec(M.spheroid(math.sqrt(2)), _verify_inversion())
     assert img.implicit is not None
     u = np.array([[0.4, 1.0, 1.3, 0.7], [1.2, 0.6, 2.0, 4.0], [2.5, 1.4, 0.9, 2.2]])
     assert np.max(np.abs(img.implicit.value(img.patches[0].chart(u)))) <= 1e-12
@@ -120,7 +129,7 @@ def test_spheroid_image_carries_an_exact_implicit():
 def test_spheroid_image_curvatures_follow_the_transformation_law():
     from residue_lab.manifold.frames import curvature_frame
     sp = M.spheroid(math.sqrt(2))
-    img = MB.transform_spec(sp, _verify_inversion(), axis_symmetric=True)
+    img = MB.transform_spec(sp, _verify_inversion())
     for u in ([0.4, 1.0, 1.3, 0.7], [1.2, 0.6, 2.0, 4.0], [2.5, 1.4, 0.9, 2.2]):
         src = curvature_frame(sp, u, max_order=2)
         fr = curvature_frame(img, u, max_order=2)
@@ -134,8 +143,7 @@ def test_spheroid_image_curvatures_follow_the_transformation_law():
 
 def test_spheroid_image_r8_paths_agree():
     from residue_lab import residues as res
-    img = MB.transform_spec(M.spheroid(math.sqrt(2)), _verify_inversion(),
-                            axis_symmetric=True)
+    img = MB.transform_spec(M.spheroid(math.sqrt(2)), _verify_inversion())
     r8 = res.residue_m8(img, order=40)
     assert r8["spread"] <= 1e-8
 
@@ -219,8 +227,14 @@ def _sphere_image():
     return MB.transform_spec(M.sphere(2, 1.0), mp)
 
 
-def test_sphere_image_profile_through_the_caps():
+def test_sphere_image_profile_through_the_caps(monkeypatch):
+    # the image keeps the symmetry about the last axis: one cap per orbit
+    calls = []
+    cap = cont._cap_masses_implicit
+    monkeypatch.setattr(cont, "_cap_masses_implicit", lambda *a: calls.append(1) or cap(*a))
     prof = cont.distance_profile(_sphere_image())
+    assert len(calls) == 32
+    monkeypatch.undo()
     r2 = cont.beta_eval(prof, -2.0)
     assert r2.at_pole and abs(r2.residue / (math.pi ** 2 / 8) - 1.0) <= 1e-10
     assert abs(cont.beta_eval(prof, -4.0).residue) <= 1e-10

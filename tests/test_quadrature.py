@@ -169,3 +169,36 @@ def test_user_patch_normals_follow_the_parametrization():
         assert np.allclose(nu, outward, rtol=0, atol=1e-8)
     # the (theta, phi) chart is the same surface with the opposite orientation
     assert np.array_equal(normals_on_patch(swapped, swapped.patches[0], u[:, ::-1]), -batch)
+
+
+def _on_axis_image(spec):
+    from residue_lab import mobius as MB
+    center = (0.0,) * (spec.n - 1) + (3.0,)
+    return MB.transform_spec(spec, MB.MobiusMap((MB.Inversion(center=center, radius=1.0),)))
+
+
+@pytest.mark.parametrize("spec, order", [
+    (M.torus(2.0, 1.0), 16), (M.sphere(2, 1.0), 16), (M.sphere(3, 0.5), 10),
+    (M.ellipsoid((1.0, 1.0, 0.7)), 16), (M.ball(3, 1.0), 16), (M.spheroid(1.3), 16),
+    (_on_axis_image(M.torus(2.0, 1.0)), 16), (_on_axis_image(M.ellipsoid((1.0, 1.0, 0.7))), 16)],
+    ids=["torus", "sphere2", "sphere3", "ellipsoid-110.7", "ball3", "spheroid", "torus-image",
+         "ellipsoid-image"])
+def test_orbit_rows_carry_the_row_sums_of_the_tensor_grid(spec, order):
+    from residue_lab.manifold.quadrature import integration_grid, patch_grid, volume_element
+    patch = spec.surface().patches[0]
+    (pi, u, w), = integration_grid(spec, order)
+    u_grid, wp = patch_grid(patch, order)
+    rows = (wp * volume_element(patch, u_grid)).reshape(order, -1).sum(axis=1)
+    assert pi == 0 and u.shape == (order, spec.surface().m)
+    assert np.array_equal(u[:, 0], u_grid.reshape(order, -1, u.shape[1])[:, 0, 0])
+    assert np.max(np.abs(w / rows - 1.0)) <= 1e-14
+
+
+def test_generic_shapes_keep_the_tensor_grid():
+    from residue_lab.manifold.quadrature import integration_grid, patch_grid, volume_element
+    spec = M.ellipsoid((1.0, 1.3, 0.8))
+    patch = spec.patches[0]
+    (pi, u, w), = integration_grid(spec, 8)
+    u_grid, wp = patch_grid(patch, 8)
+    assert pi == 0 and np.array_equal(u, u_grid)
+    assert np.array_equal(w, wp * volume_element(patch, u_grid))

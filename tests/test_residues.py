@@ -5,6 +5,7 @@ import pytest
 
 import residue_lab.manifold as M
 import residue_lab.residues as R
+from residue_lab.manifold import quadrature as Q
 from residue_lab.manifold.frames import curvature_frame
 from residue_lab.oracles import sphere_volume
 
@@ -72,22 +73,30 @@ def test_residue_report_serialization():
     assert rel == R.relative_residues(M.ball(3, 1.0), order=16).to_text()
 
 
-def test_vector_integrand_matches_scalar_calls():
+def _tensor_grid(mp):
+    """Force the tensor grid: no shape counts as axis-symmetric."""
+    mp.setattr(Q, "axis_symmetric", lambda s: False)
+
+
+def test_vector_integrand_matches_scalar_calls(monkeypatch):
     fns = (lambda fr: fr.H, lambda fr: fr.hs_norm_sq, lambda fr: fr.scalar_curvature)
     cases = ((M.torus(2.0, 1.0), 12, 2, True),              # patch grid
-             (M.spheroid(1.7), 16, 3, True),                # reduced line
-             (M.spheroid(1.7), 3, 2, False))                # 4-parameter grid
-    for spec, order, max_order, reduced in cases:
-        vec = R.frame_integral(spec, lambda fr: [f(fr) for f in fns], order=order,
-                               max_order=max_order, reduced=reduced)
-        tup = R.frame_integral(spec, lambda fr: tuple(f(fr) for f in fns), order=order,
-                               max_order=max_order, reduced=reduced)
-        assert vec.shape == (3,)
-        for k, f in enumerate(fns):
-            one = R.frame_integral(spec, f, order=order, max_order=max_order,
-                                   reduced=reduced)
-            assert isinstance(one, float)
-            assert vec[k] == one and tup[k] == one
+             (M.torus(2.0, 1.0), 12, 2, False),             # orbit rows
+             (M.spheroid(1.7), 16, 3, False),               # orbit rows
+             (M.spheroid(1.7), 3, 2, True))                 # 4-parameter grid
+    for spec, order, max_order, grid in cases:
+        with monkeypatch.context() as mp:
+            if grid:
+                _tensor_grid(mp)
+            vec = R.frame_integral(spec, lambda fr: [f(fr) for f in fns], order=order,
+                                   max_order=max_order)
+            tup = R.frame_integral(spec, lambda fr: tuple(f(fr) for f in fns), order=order,
+                                   max_order=max_order)
+            assert vec.shape == (3,)
+            for k, f in enumerate(fns):
+                one = R.frame_integral(spec, f, order=order, max_order=max_order)
+                assert isinstance(one, float)
+                assert vec[k] == one and tup[k] == one
 
 
 def test_m8_requires_four_dim():
@@ -105,15 +114,18 @@ def test_m8_residues_share_one_frame_pass(monkeypatch):
         return curvature_frame(*args, **kw)
 
     monkeypatch.setattr(R, "curvature_frame", counting_frame)
-    for spec, order, reduced in ((M.spheroid(1.7), 16, True),     # reduced line
-                                 (M.spheroid(1.7), 3, False)):    # 4-parameter grid
-        built.clear()
-        r8, r8nu = R.m8_residues(spec, order=order, reduced=reduced)
-        nodes = len(built)
-        assert set(built) == {4}
-        assert r8 == R.residue_m8(spec, order=order, reduced=reduced)
-        assert r8nu == R.nu_residue_m8(spec, order=order, reduced=reduced)
-        assert len(built) == 3 * nodes
+    for spec, order, grid in ((M.spheroid(1.7), 16, False),    # orbit rows
+                              (M.spheroid(1.7), 3, True)):     # 4-parameter grid
+        with monkeypatch.context() as mp:
+            if grid:
+                _tensor_grid(mp)
+            built.clear()
+            r8, r8nu = R.m8_residues(spec, order=order)
+            nodes = len(built)
+            assert set(built) == {4}
+            assert r8 == R.residue_m8(spec, order=order)
+            assert r8nu == R.nu_residue_m8(spec, order=order)
+            assert len(built) == 3 * nodes
 
 
 def test_r8_sums_are_formed_once_per_frame(monkeypatch):
@@ -218,22 +230,65 @@ def test_residue_m8_sphere_and_duality():
     assert r8nu["modified"] == pytest.approx(dual, rel=1e-12)
 
 
-def test_line_reduction_only_on_rotation_symmetric_shapes():
-    # a generic ellipsoid has no fiber symmetry, so reduced=True keeps the grid
+def test_line_reduction_only_on_rotation_symmetric_shapes(monkeypatch):
+    # a generic ellipsoid has no fiber symmetry, so it keeps the grid
     el = M.ellipsoid((1.0, 1.2, 0.9, 1.1, 1.3))
     kw = dict(order=5, max_order=2)
-    assert R.frame_integral(el, lambda fr: 1.0, reduced=True, **kw) == R.frame_integral(
-        el, lambda fr: 1.0, reduced=False, **kw)
+    unforced = R.frame_integral(el, lambda fr: 1.0, **kw)
+    with monkeypatch.context() as mp:
+        _tensor_grid(mp)
+        assert unforced == R.frame_integral(el, lambda fr: 1.0, **kw)
     # an ellipsoid with four equal semiaxes is a scaled spheroid: it is reduced
     sp = M.ellipsoid((2.0, 2.0, 2.0, 2.0, 2.0 * math.sqrt(2)))
-    assert R._line_reducible(sp) and not R._line_reducible(el)
+    assert M.shapes.axis_symmetric(sp) and not M.shapes.axis_symmetric(el)
     line = R.frame_integral(sp, lambda fr: 1.0, order=24, max_order=2)
     assert line == pytest.approx(2.0 ** 4 * R.volume(M.spheroid(math.sqrt(2)), order=24),
                                  rel=1e-12)
 
 
-def test_residue_m8_full_grid_path():
+def test_residue_m8_full_grid_path(monkeypatch):
     # the generic 4-D tensor-product path; on the round sphere the integrand
     # is constant, so a coarse grid already gives the exact value
-    grid = R.nu_residue_m8(M.sphere(4, 1.0), order=8, reduced=False)["modified"]
+    _tensor_grid(monkeypatch)
+    grid = R.nu_residue_m8(M.sphere(4, 1.0), order=8)["modified"]
     assert grid == pytest.approx(2 * math.pi ** 4 / 3, rel=1e-5)
+
+
+def _counting_frames(monkeypatch):
+    built = []
+
+    def counting_frame(*args, **kw):
+        built.append(1)
+        return curvature_frame(*args, **kw)
+
+    monkeypatch.setattr(R, "curvature_frame", counting_frame)
+    return built
+
+
+def test_torus_frame_integral_builds_one_frame_per_orbit(monkeypatch):
+    tor = M.torus(2.0, 1.0)
+    fn = lambda fr: 2.0 * fr.hs_norm_sq - fr.mean_sq  # noqa: E731
+    built = _counting_frames(monkeypatch)
+    orbit = R.frame_integral(tor, fn, order=24)
+    assert len(built) == 24
+    _tensor_grid(monkeypatch)
+    grid = R.frame_integral(tor, fn, order=24)
+    assert len(built) == 24 + 24 ** 2
+    assert orbit == pytest.approx(grid, rel=1e-13)
+
+
+def test_generic_ellipsoid_keeps_the_tensor_grid(monkeypatch):
+    el = M.ellipsoid((1.0, 1.3, 0.8))
+    fn = lambda fr: (fr.H, fr.hs_norm_sq)  # noqa: E731
+    built = _counting_frames(monkeypatch)
+    vals = R.frame_integral(el, fn, order=10)
+    assert len(built) == 100
+    _tensor_grid(monkeypatch)
+    assert np.array_equal(vals, R.frame_integral(el, fn, order=10))
+
+
+def test_residue_second_of_the_five_sphere():
+    # unit S^5: every kappa is 1, so 2 ||h||^2 - |H|^2 = 10 - 25 on all of it;
+    # 16 orbit rows integrate sin^4 to rounding (12 leave 4.8e-13)
+    want = sphere_volume(4) / 40.0 * (10.0 - 25.0) * sphere_volume(5)
+    assert R.residue_second(M.sphere(5, 1.0), order=16) == pytest.approx(want, rel=1e-13)
