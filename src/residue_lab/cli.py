@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[w.value for w in cont.WeightKind])
     p.add_argument("--order", help="quadrature order override",
                    type=_checked(int, lambda v: v >= 2, "an integer >= 2"))
-    p.add_argument("--delta", help="small-t cutoff override",
+    p.add_argument("--delta", help="top e2 of the fitted near zone (the cut)",
                    type=_checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0"))
     p.add_argument("--fit-degree", dest="fit_degree",
                    type=_checked(int, lambda v: v >= 1, "an integer >= 1"),

@@ -291,12 +291,17 @@ def nu_weight(frame_x, frame_y) -> float:
 
 
 def reach_estimate(spec: ManifoldSpec, order: int = 8) -> float:
-    """1 / max ||h|| over a coarse frame sample; scales correctly under homothety."""
+    """1 / max ||h|| over a coarse frame sample; scales correctly under homothety.
+
+    The sample takes Gauss nodes on every axis, periodic or not: they crowd
+    the box ends, where the builtin charts put their curvature extremes.
+    """
     surf = spec.surface()
-    from .quadrature import patch_grid
+    from .quadrature import gauss_on
     worst = 0.0
     for pi, patch in enumerate(surf.patches):
-        u, _ = patch_grid(patch, order)
+        axes = np.meshgrid(*(gauss_on(a, b, order)[0] for a, b in patch.box), indexing="ij")
+        u = np.stack([ax.ravel() for ax in axes], axis=1)
         step = max(1, len(u) // 16)
         for row in u[::step]:
             fr = curvature_frame(spec, row, patch_index=pi, max_order=2)

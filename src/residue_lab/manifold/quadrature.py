@@ -1,8 +1,9 @@
 """Quadrature sampling of manifold specs.
 
-Tensor-product Gauss-Legendre nodes per patch, with weights premultiplied by
-the Riemannian volume element sqrt(det g); integrals of invariants over an
-axis-symmetric shape take one node per rotation orbit (``integration_grid``).
+Tensor-product nodes per patch, the midpoint rule on periodic axes and
+Gauss-Legendre elsewhere, with weights premultiplied by the Riemannian
+volume element sqrt(det g); integrals of invariants over an axis-symmetric
+shape take one node per rotation orbit (``integration_grid``).
 Jacobians are exact where the patch carries one (every builtin chart and its
 Moebius images); user patches and offset charts use Richardson-extrapolated
 central differences. A user hypersurface patch without a ``normal`` is
@@ -108,11 +109,24 @@ def volume_element(patch: Patch, u: np.ndarray) -> np.ndarray:
     return np.sqrt(det)
 
 
-def patch_grid(patch: Patch, order: int):
-    """Tensor Gauss-Legendre grid on the patch box: (u, w_param)."""
+def _axis_rule(a: float, b: float, count: int, periodic: bool):
+    """``count`` nodes and weights on [a, b]: the midpoint rule (k + 1/2) h on a
+    periodic axis, where it converges spectrally (Trefethen & Weideman, "The
+    exponentially convergent trapezoidal rule", SIAM Rev. 56, 2014), and
+    Gauss-Legendre elsewhere."""
+    if periodic:
+        h = (b - a) / count
+        return a + h * (np.arange(count) + 0.5), np.full(count, h)
+    return gauss_on(a, b, count)
+
+
+def patch_grid(patch: Patch, order):
+    """Tensor grid on the patch box: (u, w_param). ``order`` is the node count
+    of every axis, or a sequence of one count per axis."""
+    counts = np.broadcast_to(order, (len(patch.box),))
     axes, wts = [], []
-    for (a, b) in patch.box:
-        xs, ws = gauss_on(a, b, order)
+    for (a, b), count, periodic in zip(patch.box, counts, patch.periodic):
+        xs, ws = _axis_rule(a, b, int(count), periodic)
         axes.append(xs)
         wts.append(ws)
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -123,7 +137,7 @@ def patch_grid(patch: Patch, order: int):
     return u, w.ravel()
 
 
-def _tensor_blocks(surf: ManifoldSpec, order: int):
+def _tensor_blocks(surf: ManifoldSpec, order):
     """(patch index, u, w) per patch: its tensor grid, w carrying sqrt(det g)."""
     blocks = []
     for pi, patch in enumerate(surf.patches):
@@ -138,22 +152,24 @@ def integration_grid(spec: ManifoldSpec, order: int):
 
     Generic shapes get the tensor grid of every patch. An invariant is
     constant on each rotation orbit {u[0] = c} of an ``axis_symmetric``
-    shape, so there u[0] takes the Gauss nodes and the fiber u[1:] its box
-    midpoints, where every polar angle is pi/2 and the hyperspherical fiber
-    density is 1: the orbit's volume is sqrt(det g) o_{m-1}.
+    shape, so there u[0] takes the nodes of ``_axis_rule`` and the fiber
+    u[1:] its box midpoints, where every polar angle is pi/2 and the
+    hyperspherical fiber density is 1: the orbit's volume is
+    sqrt(det g) o_{m-1}.
     """
     surf = spec.surface()
     if not axis_symmetric(surf):
         return _tensor_blocks(surf, order)
     patch = surf.patches[0]
     u = np.tile([0.5 * (a + b) for a, b in patch.box], (order, 1))
-    u[:, 0], w0 = gauss_on(*patch.box[0], order)
+    u[:, 0], w0 = _axis_rule(*patch.box[0], order, patch.periodic[0])
     return [(0, u, w0 * volume_element(patch, u) * sphere_volume(surf.m - 1))]
 
 
-def sample_quadrature(spec: ManifoldSpec, order: int, with_normals: bool | None = None) -> NodeSet:
-    """Quadrature nodes on the spec (its boundary if the spec is a body)."""
-    if order < 2:
+def sample_quadrature(spec: ManifoldSpec, order, with_normals: bool | None = None) -> NodeSet:
+    """Quadrature nodes on the spec (its boundary if the spec is a body);
+    ``order`` as in ``patch_grid``."""
+    if np.min(order) < 2:
         raise ValueError("order must be >= 2")
     surf = spec.surface()
     if with_normals is None:

@@ -19,9 +19,16 @@ import numpy as np
 from .._util import NumericError
 
 GRAPH_RTOL = 1e-12  # graph residual bound, relative to the coefficients of F and its slope
+# largest dense coefficient array, (deg+1)^m entries (8 MB); an order-2 frame of
+# sphere(12) needs 3^12, one of sphere(16) would need 3^16 = 43M per series
+MAX_COEFFS = 1 << 20
 
 
 def zero(m: int, deg: int) -> np.ndarray:
+    """The zero series; NumericError, before allocating, above ``MAX_COEFFS``."""
+    if (deg + 1) ** m > MAX_COEFFS:
+        raise NumericError(f"a series in {m} variables to degree {deg} has "
+                           f"{(deg + 1) ** m:.3g} coefficients, above {MAX_COEFFS}")
     return np.zeros((deg + 1,) * m)
 
 

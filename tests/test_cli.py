@@ -355,3 +355,75 @@ def test_inputs_that_gave_tracebacks_or_nan(argv, code, capsys):
     assert cli.main(argv) == code
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err and "nan" not in captured.out
+
+
+def test_torus_residues_take_the_periodic_rule(capsys):
+    # midpoint rows in theta integrate the periodic curvature integrand to
+    # the rounding floor (Gauss rows left 2e-10 at order 32)
+    R, r = 2.0, 1.0
+    code, out = run_cli(["--cmd", "residues", "--shape",
+                         json.dumps({"kind": "torus", "params": {"R": R, "r": r}}),
+                         "--order", "32"], capsys)
+    assert code == 0
+    rows = {float(tok[1]): (float(tok[2]), float(tok[4])) for tok in
+            (line.split() for line in out.splitlines()) if tok[0] == "residue"}
+    value, err = rows[-4.0]
+    exact = math.pi ** 3 * R * R / (2 * r * math.sqrt(R * R - r * r))
+    assert abs(value / exact - 1.0) <= 1e-13
+    assert err <= 1e-12
+
+
+def test_frames_too_large_to_build_exit_3(capsys):
+    # an order-2 frame of sphere(16) needs 3^16 coefficients per series
+    import time
+    t0 = time.perf_counter()
+    code = cli.main(["--cmd", "residues", "--shape", '{"kind": "sphere", "params": {"m": 16}}'])
+    assert code == 3 and time.perf_counter() - t0 < 5.0
+    assert "coefficients" in capsys.readouterr().err
+
+
+# --cmd beta output of the closed-form round profiles, which keep the sharp cut
+_ROUND_BETA = {
+    "sphere2": """z,re_value,im_value,method,note
+1,210.55156055657213,0,profile,
+0,157.91367041742916,0,profile,
+-0.5,148.88243625896234,0,profile,
+-1.5,223.32365438844451,0,profile,
+-2.5,-111.66182719421647,0,profile,
+-1,157.91367041742956,0,profile,
+-2,78.956835208714779,0,profile,pole@-2;finite_part=54.72870771085897
+-3,-39.478417604343861,0,profile,
+-4,3.429776656506999e-12,0,profile,pole@-4;finite_part=-9.8696044010246169
+""",
+    "circle": """z,re_value,im_value,method,note
+1,50.265482457436676,0,profile,
+0,39.478417604357446,0,profile,
+-0.5,46.597979083335019,0,profile,
+-1.5,-10.6463936128618,0,profile,
+-2.5,3.8831649233670618,0,profile,
+-1,12.566370614359556,0,profile,pole@-1;finite_part=17.420688722427396
+-2,-3.0013325158506632e-11,0,profile,
+-3,1.5707963262525144,0,profile,pole@-3;finite_part=1.3921879285681484
+-4,1.490707290940918e-08,0,profile,
+""",
+    "ball3": """z,re_value,im_value,method,note
+1,18.047276619134735,-0,boundary-reduction,
+0,17.54596337971433,-0,boundary-reduction,
+-0.5,18.561966079039419,-0,boundary-reduction,
+-1.5,26.467988668259867,-0,boundary-reduction,
+-2.5,85.075677862264854,0,boundary-reduction,
+-1,21.055156055657186,-0,boundary-reduction,
+-2,39.478417604357674,0,boundary-reduction,
+-3,52.63789013914365,0,boundary-reduction,pole@-3;finite_part=-33.698048378286742
+-4,-39.47841760435756,0,boundary-reduction,pole@-4;finite_part=-47.103562657608506
+""",
+}
+_ROUND_SHAPES = {"sphere2": '{"kind": "sphere", "params": {"m": 2}}', "circle": _CIRCLE,
+                 "ball3": '{"kind": "ball", "params": {"n": 3}}'}
+
+
+@pytest.mark.parametrize("name", sorted(_ROUND_BETA))
+def test_round_shape_beta_output_is_unchanged(name, capsys):
+    code, out = run_cli(["--cmd", "beta", "--shape", _ROUND_SHAPES[name],
+                         "--z", "1,0,-0.5,-1.5,-2.5,-1,-2,-3,-4"], capsys)
+    assert code == 0 and out == _ROUND_BETA[name]

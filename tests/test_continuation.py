@@ -39,20 +39,54 @@ def test_geodesic_sphere_profile():
         cont.distance_profile(M.torus(2, 1), geodesic=True)
 
 
+def evenness_diagnostic(spec, profile, weight=WeightKind.ONE):
+    """Refit the small-t model allowing odd powers; return max |odd| / abar_0.
+
+    Exact-mode profiles refit the closed-form bins of their own weight and
+    distance (chord or arc); empirical profiles recompute the cap masses at
+    the stored order. The refit takes the powers 0 .. 2 ncoef - 2, with
+    ncoef the profile's own coefficient count on surfaces and 3 on curves:
+    at 5 the curve refit has 9 powers on 18 bins, condition ~2e18, and reads
+    its own rounding.
+    """
+    m, delta = profile.m, profile.cut[1]
+    ncoef = 3 if m == 1 else len(profile.coeffs)
+    if profile.mode == "exact":
+        geodesic = profile.weight.endswith("-geodesic")
+        near = cont._round_near_density(m, profile.metadata["r"],
+                                        WeightKind(profile.weight.removesuffix("-geodesic")),
+                                        geodesic)
+        nbin = max(3 * ncoef, 18)
+        edges = delta * np.arange(nbin + 1) / nbin
+        masses = profile.vol * cont._cell_gauss(edges, 24, lambda ts: (near(ts),))[0]
+    else:
+        nbin = max(3 * (2 * ncoef) + 4, 24)
+        t_grid = delta * np.arange(1, nbin + 1) / nbin
+        masses = cont._near_masses(spec, weight, delta, t_grid,
+                                   max(6, profile.metadata.get("order", 24) // 2), 32)
+        edges = np.concatenate([[0.0], t_grid])
+    # least squares in t / delta, rows normalized by the bins' t^(m-1) mass
+    expo = np.arange(0, 2 * ncoef - 1)
+    s0, s1 = edges[:-1] / delta, edges[1:] / delta
+    rows = (s1 ** m - s0 ** m) / m
+    A = np.stack([(s1 ** (m + e) - s0 ** (m + e)) / (m + e) for e in expo], axis=1)
+    c = np.linalg.lstsq(A / rows[:, None], masses / (delta ** m * rows), rcond=None)[0]
+    return float(np.max(np.abs(c[expo % 2 == 1])) / abs(c[0]))
+
+
 def test_profile_evenness(circle_profile, torus_profile):
-    leak = cont.evenness_diagnostic(M.circle(1.0), circle_profile)
+    leak = evenness_diagnostic(M.circle(1.0), circle_profile)
     assert leak < 1e-3
-    leak_t = cont.evenness_diagnostic(M.torus(2.0, 1.0), torus_profile)
+    leak_t = evenness_diagnostic(M.torus(2.0, 1.0), torus_profile)
     assert leak_t < 1e-3
 
 
 def test_evenness_of_a_geodesic_profile_reads_the_arc_density():
     # arc length on the circle has the constant density 2, so no odd power
     # leaks; the chord density 2/sqrt(1 - t^2/4) would leak ~1e-4 at 3
-    # coefficients. (At the default 5 the refit has 17 exponents on 18 bins,
-    # condition ~2e18, and reads its own rounding, ~2e-7.)
+    # coefficients
     prof = cont.distance_profile(M.circle(1.0), geodesic=True, fit_degree=3)
-    assert cont.evenness_diagnostic(M.circle(1.0), prof) <= 1e-10
+    assert evenness_diagnostic(M.circle(1.0), prof) <= 1e-10
 
 
 def test_reach_refusal():
@@ -71,6 +105,50 @@ def test_profile_serialization_roundtrip(circle_profile):
     r0 = cont.residue_from_profile(circle_profile, -3)[0]
     r1 = cont.residue_from_profile(back, -3)[0]
     assert r0 == r1
+
+
+def test_profile_text_without_a_cut_line_is_a_sharp_cut(circle_profile):
+    # the format before the smooth cut wrote "delta e2" where "cut e1 e2" is now
+    e2 = cont.fmt_float(circle_profile.cut[1])
+    text = circle_profile.to_text()
+    old = text.replace(f"cut {e2} {e2}\n", f"delta {e2}\n")
+    assert old != text
+    prof = cont.DistanceProfile.from_text(old)
+    assert prof.cut == circle_profile.cut
+    d = prof.cut[1]
+
+    def near(z, skip=None):
+        # the sharp-cut near part as written before the cut: vol sum_j a_j d^p / p
+        total = 0.0 + 0.0j
+        for j, a in enumerate(prof.coeffs):
+            if j == skip:
+                total += a * math.log(d)
+                continue
+            p = z + prof.m + 2 * j
+            total += a * d ** p / p
+        return prof.vol * total
+
+    for z in (1.0, -0.5, -1.5, -2.5):
+        zc = complex(z)
+        assert cont.beta_eval(prof, z).value == near(zc) + cont._tail_part(prof, zc)
+    assert cont.beta_eval(prof, -3.0).finite_part == near(-3.0, 1) + cont._tail_part(prof, -3.0)
+
+
+def test_smooth_cut_moments_match_direct_quadrature(circle_profile):
+    # M(p) = int_0^inf t^(p-1) chi dt = e1^p / p + int_e1^e2 t^(p-1) chi dt, and
+    # the finite part -int ln t chi' dt = ln e1 + int_e1^e2 chi(t) / t dt
+    from dataclasses import replace
+    from residue_lab.manifold.quadrature import gauss_on
+    e1, e2 = 0.15, 0.6
+    rule = replace(circle_profile, cut=(e1, e2)).cut_rule
+    assert math.fsum(w for _, w in rule) == pytest.approx(1.0, abs=1e-14)
+    t, w = gauss_on(e1, e2, 400)
+    chi = 1.0 - cont._smooth_ramp(e1, e2)(t)
+    for p in (0.5, 1.0, 2.5, -1.5):
+        direct = e1 ** p / p + np.sum(w * t ** (p - 1) * chi)
+        assert sum(wk * tk ** p for tk, wk in rule) / p == pytest.approx(direct, rel=1e-12)
+    direct = math.log(e1) + np.sum(w * chi / t)
+    assert sum(wk * math.log(tk) for tk, wk in rule) == pytest.approx(direct, rel=1e-12)
 
 
 def test_malformed_profile_text_is_a_numeric_error(circle_profile):
@@ -382,11 +460,13 @@ def test_worker_count_bit_stable(ellipse_spec):
     p4 = cont.distance_profile(ellipse_spec, workers=4)
     assert p1.to_text() == p4.to_text()
     assert np.array_equal(p1.tail_w, p4.tail_w)
-    # curves bypass the pair accumulator; 576 torus nodes make two chunks
+    # curves bypass the pair accumulator; the torus orbit rows make eight
+    # chunks, and the nu weight reads the row normals
     torus = M.torus(2.0, 1.0)
-    t1 = cont.distance_profile(torus, order=24, workers=1)
-    t2 = cont.distance_profile(torus, order=24, workers=2)
-    assert t1.to_text() == t2.to_text()
+    for weight in (WeightKind.ONE, WeightKind.NU):
+        t1 = cont.distance_profile(torus, weight, order=24, workers=1)
+        t2 = cont.distance_profile(torus, weight, order=24, workers=2)
+        assert t1.to_text() == t2.to_text()
 
 
 # --- hot loops against their reference loops ------------------------------------
@@ -476,7 +556,7 @@ def test_tail_moments_match_reference(torus_spec):
     edges = 0.2 + (6.0 - 0.2) * np.arange(4097) / 4096
     for weight in (WeightKind.ONE, WeightKind.NU):
         ref = _tail_moments_reference(nodes.x, nodes.w, nodes.nu, weight, 0.2, edges)
-        got = cont._tail_moments(nodes.x, nodes.w, nodes.nu, weight, 0.2, edges,
+        got = cont._tail_moments(nodes.x, nodes.w, nodes.nu, weight, (0.2, 0.2), edges,
                                  workers=1)
         for k in range(3):
             assert np.array_equal(got[k], ref[k])
@@ -753,6 +833,72 @@ def test_generic_ellipsoid_keeps_one_cap_per_node(monkeypatch):
     monkeypatch.setattr(quadrature, "axis_symmetric", lambda s: True)
     wrong = cont._near_masses(spec, WeightKind.ONE, delta, t, 8, 32)
     assert np.max(np.abs(wrong / masses - 1.0)) > 1e-6
+
+
+def test_orbit_rows_reproduce_the_full_pair_sum(torus_spec):
+    # the midpoint grid is closed under the phi-step rotation, so the nodes at
+    # phi index 0, weighted by the phi count, see the distances of every node
+    from residue_lab.manifold.quadrature import sample_quadrature
+    nodes = sample_quadrature(torus_spec, (24, 40), with_normals=True)
+    first = np.arange(0, len(nodes), 40)
+    edges = 0.15 + (6.0 - 0.15) * np.arange(4097) / 4096
+    for weight in (WeightKind.ONE, WeightKind.NU):
+        full = cont._tail_moments(nodes.x, nodes.w, nodes.nu, weight, (0.15, 0.6), edges,
+                                  workers=1)
+        rows = (nodes.x[first], 40.0 * nodes.w[first], nodes.nu[first])
+        orbit = cont._tail_moments(nodes.x, nodes.w, nodes.nu, weight, (0.15, 0.6), edges,
+                                   workers=1, rows=rows)
+        for k in range(3):
+            assert np.max(np.abs(orbit[k] - full[k])) <= 1e-13 * np.max(np.abs(full[k]))
+
+
+def test_torus_profile_pairs_one_row_per_orbit(monkeypatch):
+    # R = 2.1 is the widest torus of the benchmark; its ramp-resolving grid
+    # stays within 6.3M (row, node) pairs
+    pairs = []
+    tail = cont._tail_moments
+
+    def counted(x, *args, rows=None, **kw):
+        pairs.append(len(rows[0]) * len(x))
+        return tail(x, *args, rows=rows, **kw)
+
+    monkeypatch.setattr(cont, "_tail_moments", counted)
+    prof = cont.distance_profile(M.torus(2.1, 1.0))
+    assert len(pairs) == 1 and pairs[0] <= 6.3e6
+    assert prof.cut[0] < prof.cut[1]
+
+
+def test_torus_values_below_the_first_pole_do_not_depend_on_the_cut(torus_profile):
+    R, r = 2.0, 1.0
+    other = cont.distance_profile(M.torus(R, r), delta=0.5)
+    assert other.cut != torus_profile.cut
+    a, b = (cont.beta_eval(p, -3.0).value.real for p in (torus_profile, other))
+    assert abs(a / b - 1.0) <= 1e-3
+    s = math.sqrt(R * R - r * r)
+    for prof in (torus_profile, other):
+        assert cont.residue_from_profile(prof, -2)[0] == pytest.approx(
+            8 * math.pi ** 3 * R * r, rel=1e-5)
+        assert cont.residue_from_profile(prof, -4)[0] == pytest.approx(
+            math.pi ** 3 * R * R / (2 * r * s), rel=1e-5)
+
+
+def test_coeff_errors_cover_two_summation_orders_of_the_caps():
+    # the orbit-reduced and the per-node cap sums round differently; the
+    # coefficients fitted to each may differ only within coeff_errors
+    spec = M.ellipsoid((1.0, 1.0, 0.7))
+    prof = cont.distance_profile(spec)
+    e2, ncoef = prof.cut[1], len(prof.coeffs)
+    nbin = max(3 * ncoef + 4, 16)
+    t = e2 * np.arange(1, nbin + 1) / nbin
+    edges = np.concatenate([[0.0], t])
+
+    def fit(masses):
+        return cont._fit_even_model(2, edges, masses / prof.vol, ncoef, 1.0 / e2)[0]
+
+    assert np.array_equal(fit(cont._near_masses(spec, WeightKind.ONE, e2, t, 32, 32)),
+                          prof.coeffs)
+    per_node = fit(_near_masses_per_node(spec, WeightKind.ONE, t, 32))
+    assert np.all(np.abs(per_node - prof.coeffs) <= prof.coeff_errors)
 
 
 def test_torus_profile_solves_one_cap_per_theta_row(torus_spec, monkeypatch):
