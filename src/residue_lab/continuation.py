@@ -59,8 +59,8 @@ _RAMP_NODES = 64
 # rotation orbit) on ellipsoid((1, 1, 0.7)) differ by up to 2e-14 of it
 _MASS_RTOL = 3e-14
 # entries of one pair chunk (4 MB per float array: the chunk's temporaries
-# stay small, and the pair sum ran 16% faster than at 512 x 4096), and of
-# all orbit-row pairs of one profile
+# stay small, and the pair sum ran 16% faster than at 512 x 4096), and the
+# most orbit-row pairs a profile spends on resolving its cut
 _PAIR_CHUNK = 512 * 1024
 _MAX_ORBIT_PAIRS = 1 << 26
 # the circle on which ``_laurent`` takes the Laurent data of composite energies
@@ -155,10 +155,9 @@ class DistanceProfile:
         e1, e2 = self.cut
         if e1 == e2:
             return [(float(e2), 1.0)]
-        s, w = gauss_on(0.0, 1.0, _RAMP_NODES)
-        f, g = np.exp(-1.0 / s), np.exp(-1.0 / (1.0 - s))
-        dstep = f * g * (1.0 / s ** 2 + 1.0 / (1.0 - s) ** 2) / (f + g) ** 2
-        return list(zip((e1 + (e2 - e1) * s).tolist(), (w * dstep).tolist()))
+        _, density = _smooth_ramp(e1, e2)
+        t, w = gauss_on(e1, e2, _RAMP_NODES)
+        return list(zip(t.tolist(), (w * density(t)).tolist()))
 
     # -- serialization ------------------------------------------------------
 
@@ -314,8 +313,8 @@ def _fit_even_model(m: int, edges: np.ndarray, masses: np.ndarray, ncoef: int,
         p = m + e
         A[:, j] = (edges[1:] ** p - edges[:-1] ** p) / p
     scale_rows = (edges[1:] ** m - edges[:-1] ** m) / m
-    scale_cols = scale ** expo.astype(float)
     with np.errstate(all="ignore"):
+        scale_cols = scale ** expo.astype(float)
         Aw = A / scale_rows[:, None] * scale_cols[None, :]
     if not (np.all(np.isfinite(Aw)) and np.all(np.max(np.abs(Aw), axis=0) > 0.0)):
         raise NumericError(f"the small-t fit design under- or overflows at scale {scale:.3g}")
@@ -391,7 +390,7 @@ def _tail_moments(x, wq, nus, weight, cut, edges, workers=None, rows=None):
     """
     xr, wr, nur = (x, wq, nus) if rows is None else rows
     e1, e2 = cut
-    far = _smooth_ramp(e1, e2)
+    far, _ = _smooth_ramp(e1, e2)
     # the chunk size fixes the summation order of the result
     chunk_size = max(1, min(512, _PAIR_CHUNK // x.shape[0]))
     chunks = [np.arange(s, min(s + chunk_size, len(xr))) for s in range(0, len(xr), chunk_size)]
@@ -430,8 +429,10 @@ def _pair_grid(surf, cut, order, normals):
     rotation orbit (``integration_grid``), and the per-axis node counts,
     at least ``order``, bring the node spacing in space to at most
     ``_CUT_SPACING`` (e2 - e1), so that the ramp of the cut is resolved;
-    the largest Gauss gap is ~ pi/2 times the mean one. A grid of more
-    than ``_MAX_ORBIT_PAIRS`` pairs is a NumericError, before it is built.
+    the largest Gauss gap is ~ pi/2 times the mean one. Where that grid has
+    more than ``_MAX_ORBIT_PAIRS`` pairs (m >= 3, or a narrow ramp), the
+    counts shrink by one common factor until it fits or they reach
+    ``order``, which leaves the ramp under-resolved, as on generic shapes.
     """
     if not axis_symmetric(surf):
         return sample_quadrature(surf, order, with_normals=normals), None
@@ -439,15 +440,14 @@ def _pair_grid(surf, cut, order, normals):
     # the chart's stretch along each axis, largest on the fiber midpoints
     (_, u, _), = integration_grid(surf, order)
     stretch = np.max(np.linalg.norm(patch_jacobian(patch, u), axis=1), axis=0)
-    spacing = _CUT_SPACING * (cut[1] - cut[0])
-    counts = [max(order, math.ceil(s * (b - a) * (1.0 if periodic else 0.5 * math.pi)
-                                   / spacing))
-              for s, (a, b), periodic in zip(stretch, patch.box, patch.periodic)]
-    pairs = counts[0] * math.prod(counts)
-    if pairs > _MAX_ORBIT_PAIRS:
-        raise NumericError(
-            f"the cut ({cut[0]:.4g}, {cut[1]:.4g}) needs a {' x '.join(map(str, counts))} "
-            f"pair grid, {pairs:.3g} pairs, above {_MAX_ORBIT_PAIRS:.3g}; raise delta")
+    lengths = [s * (b - a) * (1.0 if periodic else 0.5 * math.pi)
+               for s, (a, b), periodic in zip(stretch, patch.box, patch.periodic)]
+    # no axis needs more nodes than the whole budget
+    spacing = max(_CUT_SPACING * (cut[1] - cut[0]), max(lengths) / _MAX_ORBIT_PAIRS)
+    counts = [max(order, math.ceil(length / spacing)) for length in lengths]
+    while counts[0] * math.prod(counts) > _MAX_ORBIT_PAIRS and max(counts) > order:
+        shrink = (_MAX_ORBIT_PAIRS / (counts[0] * math.prod(counts))) ** (1.0 / (len(counts) + 1))
+        counts = [max(order, math.floor(c * shrink)) for c in counts]
     nodes = sample_quadrature(surf, counts, with_normals=normals)
     (_, u, w), = integration_grid(surf, counts[0])
     nu = normals_on_patch(surf, patch, u) if nodes.nu is not None else None
@@ -1272,7 +1272,7 @@ def relative_local_residue_at_point(body: ManifoldSpec, u, which: str = "boundar
         raise NumericError(f"unknown localization {which!r}")
 
     # smooth partition of unity between the far pair sum and the local chart
-    far_cut = _smooth_ramp(0.6 * delta, delta)
+    far_cut, _ = _smooth_ramp(0.6 * delta, delta)
     nodes = sample_quadrature(bnd, order, with_normals=True)
     d = np.linalg.norm(nodes.x - x0[None, :], axis=1)
     sel = d >= 0.6 * delta
@@ -1301,19 +1301,29 @@ def relative_local_residue_at_point(body: ManifoldSpec, u, which: str = "boundar
 
 
 def _smooth_ramp(a: float, b: float):
-    """C-infinity ramp: 0 below a, 1 above b."""
+    """C-infinity ramp, 0 below a and 1 above b, as (ramp, density): the
+    ramp f(s) / (f(s) + f(1 - s)) with f(s) = exp(-1/s) on s = (d - a)/(b - a),
+    and its derivative in d."""
 
-    def f(s):
-        out = np.zeros_like(s)
-        pos = s > 0
-        out[pos] = np.exp(-1.0 / np.maximum(s[pos], 1e-300))
-        return out
+    def parts(d):
+        s = np.clip((np.asarray(d, dtype=float) - a) / (b - a), 0.0, 1.0)
+        fa, fb = np.zeros_like(s), np.zeros_like(s)
+        lo, hi = s > 0.0, s < 1.0
+        fa[lo] = np.exp(-1.0 / s[lo])
+        fb[hi] = np.exp(-1.0 / (1.0 - s[hi]))
+        return s, fa, fb
 
     def ramp(d):
-        s = (np.asarray(d, dtype=float) - a) / (b - a)
-        s = np.clip(s, 0.0, 1.0)
-        fa = f(s)
-        fb = f(1.0 - s)
+        _, fa, fb = parts(d)
         return fa / (fa + fb + 1e-300)
 
-    return ramp
+    def density(d):
+        s, fa, fb = parts(d)
+        inner = (s > 0) & (s < 1)
+        out = np.zeros_like(s)
+        si = s[inner]
+        out[inner] = (fa[inner] * fb[inner] * (1.0 / si ** 2 + 1.0 / (1.0 - si) ** 2)
+                      / ((fa[inner] + fb[inner]) ** 2 * (b - a)))
+        return out
+
+    return ramp, density

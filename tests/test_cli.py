@@ -134,6 +134,19 @@ def test_numeric_error_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+def test_torus_beta_at_a_small_delta(capsys):
+    # the ramp of the cut (0.05, 0.2) would need ~3e8 orbit-row pairs to
+    # resolve; the pair grid shrinks to its budget instead
+    code, out = run_cli(["--cmd", "beta", "--shape",
+                         '{"kind": "torus", "params": {"R": 2, "r": 1}}',
+                         "--delta", "0.2", "--z", "0,-3"], capsys)
+    assert code == 0
+    vals = {float(ln.split(",")[0]): float(ln.split(",")[1])
+            for ln in out.strip().splitlines()[1:]}
+    assert vals[0.0] == pytest.approx((4 * math.pi ** 2 * 2.0) ** 2, rel=1e-6)   # vol^2
+    assert vals[-3.0] == pytest.approx(19.398, rel=5e-3)   # converged in the cut and grid
+
+
 def test_beta_report_format(tmp_path, capsys):
     cfg = shape_file(tmp_path, {"kind": "circle", "params": {"r": 1.0}})
     code, out = run_cli(["--cmd", "beta", "--shape", cfg, "--z", "1",
@@ -347,6 +360,8 @@ def test_cli_exits_0_2_or_3_without_a_traceback(argv):
     (["--cmd", "beta", "--shape", _CIRCLE, "--delta", "1e-300"], 3),
     (["--cmd", "beta", "--shape", _CIRCLE, "--delta", "1e-300", "--fit-degree", "1",
       "--z", "-5.5"], 3),
+    (["--cmd", "beta", "--shape", '{"kind": "torus", "params": {"R": 2, "r": 1}}',
+      "--delta", "5e-324"], 3),
     (["--cmd", "beta", "--shape", _CIRCLE, "--z", "1e308"], 3),
     (["--cmd", "beta", "--shape", '{"kind": "ball", "params": {"n": 3}}', "--z", "1e308"], 3),
 ], ids=lambda v: " ".join(v[-2:]) if isinstance(v, list) else str(v))

@@ -143,7 +143,7 @@ def test_smooth_cut_moments_match_direct_quadrature(circle_profile):
     rule = replace(circle_profile, cut=(e1, e2)).cut_rule
     assert math.fsum(w for _, w in rule) == pytest.approx(1.0, abs=1e-14)
     t, w = gauss_on(e1, e2, 400)
-    chi = 1.0 - cont._smooth_ramp(e1, e2)(t)
+    chi = 1.0 - cont._smooth_ramp(e1, e2)[0](t)
     for p in (0.5, 1.0, 2.5, -1.5):
         direct = e1 ** p / p + np.sum(w * t ** (p - 1) * chi)
         assert sum(wk * tk ** p for tk, wk in rule) / p == pytest.approx(direct, rel=1e-12)
@@ -866,6 +866,27 @@ def test_torus_profile_pairs_one_row_per_orbit(monkeypatch):
     prof = cont.distance_profile(M.torus(2.1, 1.0))
     assert len(pairs) == 1 and pairs[0] <= 6.3e6
     assert prof.cut[0] < prof.cut[1]
+
+
+@pytest.mark.parametrize("weight", ["one", "nu"])
+def test_a_pair_grid_over_the_budget_shrinks_to_fit(weight, monkeypatch):
+    # the grid that resolves the ramp of a 3-dimensional ellipsoid of
+    # revolution needs ~8e8 pairs; a smaller budget keeps the test quick
+    budget = 1 << 22
+    monkeypatch.setattr(cont, "_MAX_ORBIT_PAIRS", budget)
+    pairs = []
+    tail = cont._tail_moments
+
+    def counted(x, *args, rows=None, **kw):
+        pairs.append(len(rows[0]) * len(x))
+        return tail(x, *args, rows=rows, **kw)
+
+    monkeypatch.setattr(cont, "_tail_moments", counted)
+    prof = cont.distance_profile(M.ellipsoid((1.0, 1.0, 1.0, 0.7)), weight=weight)
+    assert len(pairs) == 1 and budget / 2 < pairs[0] <= budget
+    # the energy at z = 0 is vol^2 for weight one, |int nu|^2 = 0 for nu
+    b0 = cont.beta_eval(prof, 0.0).value.real
+    assert abs(b0 - (prof.vol ** 2 if weight == "one" else 0.0)) <= 2e-5 * prof.vol ** 2
 
 
 def test_torus_values_below_the_first_pole_do_not_depend_on_the_cut(torus_profile):
