@@ -19,11 +19,10 @@ spectrally on periodic grids.
 
 Profiles for round circles and spheres use closed-form distance
 distributions (every weight needed there depends on the chord length only)
-and a sharp cut, which makes the continuation spectrally accurate. Closed
-curves keep the sharp cut too, with an adapted inner quadrature around
-each node. Surfaces and higher-dimensional shapes use the smooth cut:
-global pair quadrature for the tail and local polar quadrature around each
-sample point for the small-t data.
+and a sharp cut, which makes the continuation spectrally accurate. Every
+other shape, closed curves included, uses the smooth cut: global pair
+quadrature for the tail and local polar quadrature around each sample
+point for the small-t data.
 """
 
 from __future__ import annotations
@@ -41,17 +40,20 @@ from scipy.special import roots_jacobi
 from ._util import ConfigError, NumericError, chunked_map_reduce, fmt_float
 from .manifold.frames import reach_estimate
 from .manifold.quadrature import (gauss_on, gauss_rule, integration_grid, normals_on_patch,
-                                  patch_grid, patch_jacobian, sample_quadrature,
-                                  volume_element)
+                                  patch_jacobian, sample_quadrature, volume_element)
 from .manifold.shapes import ManifoldSpec, axis_symmetric
 
 POLE_GUARD = 1e-3
-# the smooth cut of surfaces: e2 = delta, which defaults to _CUT_TOP x reach,
-# and e1 = _CUT_RATIO x e2
+# the smooth cut of empirical profiles: e2 = delta, which defaults to
+# _CUT_TOP x reach, and e1 = _CUT_RATIO x e2
 _CUT_TOP = 0.75
 _CUT_RATIO = 0.25
 # node spacing of the pair grid on axis-symmetric shapes, in units of e2 - e1
 _CUT_SPACING = 1.0 / 8.0
+# the same on closed curves, which pair all N^2 nodes: the image of
+# ellipse(1, 0.6) under an inversion keeps the Moebius-invariant B(-2) to
+# 1.4e-3 relative at /8, 2.6e-6 at /16 and 7.7e-9 at /32 (~1M pairs)
+_CURVE_SPACING = 1.0 / 32.0
 # Gauss nodes on the ramp of a smooth cut
 _RAMP_NODES = 64
 # rounding of a bin mass, relative to the cumulative cap mass it is the
@@ -60,7 +62,7 @@ _RAMP_NODES = 64
 _MASS_RTOL = 3e-14
 # entries of one pair chunk (4 MB per float array: the chunk's temporaries
 # stay small, and the pair sum ran 16% faster than at 512 x 4096), and the
-# most orbit-row pairs a profile spends on resolving its cut
+# most (row, node) pairs a profile spends on resolving its cut
 _PAIR_CHUNK = 512 * 1024
 _MAX_ORBIT_PAIRS = 1 << 26
 # the circle on which ``_laurent`` takes the Laurent data of composite energies
@@ -424,17 +426,19 @@ def _tail_moments(x, wq, nus, weight, cut, edges, workers=None, rows=None):
 def _pair_grid(surf, cut, order, normals):
     """(inner nodes, outer rows) of the tail pair sum.
 
-    Curves and generic shapes pair every node of the order grid with every
-    other (rows None). On an axis-symmetric shape the outer rows are one per
-    rotation orbit (``integration_grid``), and the per-axis node counts,
-    at least ``order``, bring the node spacing in space to at most
-    ``_CUT_SPACING`` (e2 - e1), so that the ramp of the cut is resolved;
-    the largest Gauss gap is ~ pi/2 times the mean one. Where that grid has
-    more than ``_MAX_ORBIT_PAIRS`` pairs (m >= 3, or a narrow ramp), the
+    Generic shapes pair every node of the order grid with every other (rows
+    None). Closed curves pair every node too, and on an axis-symmetric shape
+    the outer rows are one per rotation orbit (``integration_grid``). On
+    both, the per-axis node counts, at least ``order``, bring the node
+    spacing in space to at most ``_CURVE_SPACING`` or ``_CUT_SPACING``
+    times e2 - e1, so that the ramp of the cut is resolved; the largest
+    Gauss gap is ~ pi/2 times the mean one. Where that grid has more than
+    ``_MAX_ORBIT_PAIRS`` pairs (thin curves, m >= 3, or a narrow ramp), the
     counts shrink by one common factor until it fits or they reach
     ``order``, which leaves the ramp under-resolved, as on generic shapes.
     """
-    if not axis_symmetric(surf):
+    curve = surf.m == 1
+    if not (curve or axis_symmetric(surf)):
         return sample_quadrature(surf, order, with_normals=normals), None
     patch = surf.patches[0]
     # the chart's stretch along each axis, largest on the fiber midpoints
@@ -443,99 +447,24 @@ def _pair_grid(surf, cut, order, normals):
     lengths = [s * (b - a) * (1.0 if periodic else 0.5 * math.pi)
                for s, (a, b), periodic in zip(stretch, patch.box, patch.periodic)]
     # no axis needs more nodes than the whole budget
-    spacing = max(_CUT_SPACING * (cut[1] - cut[0]), max(lengths) / _MAX_ORBIT_PAIRS)
+    ratio = _CURVE_SPACING if curve else _CUT_SPACING
+    spacing = max(ratio * (cut[1] - cut[0]), max(lengths) / _MAX_ORBIT_PAIRS)
     counts = [max(order, math.ceil(length / spacing)) for length in lengths]
+    # (rows) x (nodes): on a curve the rows are the nodes
     while counts[0] * math.prod(counts) > _MAX_ORBIT_PAIRS and max(counts) > order:
         shrink = (_MAX_ORBIT_PAIRS / (counts[0] * math.prod(counts))) ** (1.0 / (len(counts) + 1))
         counts = [max(order, math.floor(c * shrink)) for c in counts]
     nodes = sample_quadrature(surf, counts, with_normals=normals)
+    if curve:
+        return nodes, None
     (_, u, w), = integration_grid(surf, counts[0])
     nu = normals_on_patch(surf, patch, u) if nodes.nu is not None else None
     return nodes, (patch.chart(u), w, nu)
 
 
-def _tail_moments_curve(surf, weight, delta, edges, order):
-    """Tail cell moments for closed curves by per-node adapted inner quadrature.
-
-    For each outer node the inner arc {y : d(x, y) >= delta} is an interval
-    whose endpoints are root-found, so the inner integral avoids the sharp
-    cut entirely and the accumulated cell measure is smooth to quadrature
-    accuracy. This matters at strongly negative z where the seam at delta is
-    amplified by t^z.
-    """
-    patch = surf.patches[0]
-    a0, b0 = patch.box[0]
-    period = b0 - a0
-    u0s, wp = patch_grid(patch, order)
-    sg = volume_element(patch, u0s)
-    wq = wp * sg
-    x0s = patch.chart(u0s)
-    nu0s = (patch.normal(u0s)
-            if (_needs_normals(weight) and patch.normal is not None) else None)
-    # the two crossings of d = delta around every node
-    s_los = _curve_cross(patch, u0s, x0s, delta, period, +1.0)
-    s_his = _curve_cross(patch, u0s, x0s, delta, period, -1.0)
-    gx, gw = gauss_rule(8)
-    gx = 0.5 * (gx + 1.0)
-    gw = 0.5 * gw
-    n_inner = 220
-    ds, ws = [], []
-    for i, (u0, wx, x0, s_lo, s_hi) in enumerate(zip(u0s, wq, x0s, s_los, s_his)):
-        # inner domain: u0 + [s_lo, period - s_hi] (wrapping forward); each
-        # crossing lies below half the period, so the domain is never empty
-        length = (period - s_hi) - s_lo
-        seg_edges = u0[0] + s_lo + length * np.arange(n_inner + 1) / n_inner
-        mids = seg_edges[:-1, None] + np.diff(seg_edges)[:, None] * gx[None, :]
-        flat = mids.reshape(-1, 1)
-        y = patch.chart(flat)
-        sgv = volume_element(patch, flat)
-        d = np.linalg.norm(y - x0[None, :], axis=1)
-        lam = np.ones_like(d)
-        if weight is not WeightKind.ONE:
-            nuy = patch.normal(flat) if patch.normal is not None else None
-            lam = _pair_weight(weight, x0[None, :],
-                               None if nu0s is None else nu0s[i:i + 1], y, nuy)[0]
-        wseg = (np.diff(seg_edges)[:, None] * gw[None, :]).reshape(-1)
-        ds.append(d)
-        ws.append(wx * wseg * sgv * lam)
-    # one pass over all rows in node order: the sums of per-node binning
-    out = _bin_moments(edges, np.concatenate(ds), np.concatenate(ws))
-    return out[0], out[1], out[2]
-
-
-def _curve_cross(patch, u0s, x0s, delta, period, direction):
-    """Arc offsets s > 0 with |chart(u0 + direction * s) - x0| = delta, per node.
-
-    The bracket grows by 1.5x, only for nodes still short of delta, up to
-    half the period; a node short of delta there has no crossing and raises.
-    Then 60 bisection steps on all nodes at once.
-    """
-    u = u0s[:, 0]
-
-    def dist(rows, s):
-        r = patch.chart((u[rows] + direction * s)[:, None]) - x0s[rows]
-        # row-by-row dot products: bit-identical to the norm of each row alone
-        return np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
-
-    half = 0.5 * period
-    lo = np.zeros(len(u))
-    hi = np.full(len(u), period / 64.0)
-    short = np.arange(len(u))
-    while True:
-        short = short[dist(short, hi[short]) < delta]
-        if short.size == 0:
-            break
-        if np.any(hi[short] >= half):
-            raise NumericError(
-                f"no chord of length delta={delta:.4g} within half a period of "
-                f"a curve node; reduce delta")
-        hi[short] = np.minimum(1.5 * hi[short], half)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        less = dist(slice(None), mid) < delta
-        lo = np.where(less, mid, lo)
-        hi = np.where(less, hi, mid)
-    return 0.5 * (lo + hi)
+# names of the former sharp-cut curve path that the benchmark tracer still
+# wraps; they go with the next benchmark change
+_tail_moments_curve = _curve_cross = None
 
 
 def _direction_set(m: int, n_ang: int):
@@ -723,7 +652,8 @@ def _cap_boundary(imp, x0, nu, e, t):
     if np.any(gn <= 0.0) or np.any(rho <= 0.0):
         raise NumericError(
             "a cap boundary point left the tangent-graph sheet (nu . grad F <= 0) "
-            "or its ray (cap radius <= 0); reduce delta")
+            "or its ray (cap radius <= 0): delta is too large for the reach, "
+            "or so small that the cap radius rounds to 0")
     return rho, t * np.sin(a)
 
 
@@ -783,12 +713,12 @@ def distance_profile(spec: ManifoldSpec, weight: WeightKind = WeightKind.ONE,
     """Weighted interpoint-distance distribution of a closed spec.
 
     ``weight`` is a WeightKind or its string value (a ConfigError otherwise).
-    ``delta`` is the top e2 of the fitted near zone. Round shapes and curves
-    cut sharply there, at 0.2 x (estimated) reach by default; other shapes
-    take the smooth cut (delta / 4, delta), delta defaulting to 0.75 x
-    estimated reach. The number of even coefficients defaults to m//2 + 5
-    (closed-form data), m//2 + 3 (curves) or m//2 + 6 (smooth cut, whose
-    near zone is wider).
+    ``delta`` is the top e2 of the fitted near zone. Round shapes cut
+    sharply there, at 0.2 x reach by default; every other shape, curves
+    included, takes the smooth cut (delta / 4, delta), delta defaulting to
+    0.75 x estimated reach. The number of even coefficients defaults to
+    m//2 + 5 (closed-form data) or m//2 + 6 (smooth cut, whose near zone is
+    wider).
     """
     try:
         weight = WeightKind(weight)
@@ -901,21 +831,15 @@ def _empirical_profile(spec, weight, delta, fit_degree, order, workers) -> Dista
         order = {1: 512, 2: 64, 3: 24, 4: 12}[m]
     reach = reach_estimate(spec)
     if delta is None:
-        delta = (0.2 if m == 1 else _CUT_TOP) * reach
+        delta = _CUT_TOP * reach
     if delta > 0.8 * reach:
         raise ReachError(f"delta={delta:.4g} above 0.8 x estimated reach {reach:.4g}")
-    cut = (float(delta),) * 2 if m == 1 else (_CUT_RATIO * delta, float(delta))
+    cut = (_CUT_RATIO * delta, float(delta))
     nodes, rows = _pair_grid(surf, cut, order, _needs_normals(weight) or None)
     vol = nodes.total_weight
-    diam_ub = _bbox_diameter(nodes.x)
-    ncell = 4096
-    edges = cut[0] + (diam_ub - cut[0]) * np.arange(ncell + 1) / ncell
-    if m == 1:
-        tw, twd, twd2 = _tail_moments_curve(surf, weight, delta, edges, order)
-    else:
-        tw, twd, twd2 = _tail_moments(nodes.x, nodes.w, nodes.nu, weight, cut, edges,
-                                      workers=workers, rows=rows)
-    ncoef = fit_degree if fit_degree is not None else m // 2 + (3 if m == 1 else 6)
+    # the near zone first: a delta that the caps or the fit reject fails
+    # before the pair sum
+    ncoef = fit_degree if fit_degree is not None else m // 2 + 6
     nbin = max(3 * ncoef + 4, 16)
     t_grid = delta * np.arange(1, nbin + 1) / nbin
     order_sub = max(6, order // 2)
@@ -925,16 +849,20 @@ def _empirical_profile(spec, weight, delta, fit_degree, order, workers) -> Dista
     coeffs, expo, resid, cond, errs = _fit_even_model(m, bin_edges, masses, ncoef, 1.0 / delta)
     scale = max(abs(coeffs[0]), np.max(np.abs(coeffs)) * 1e-6, 1e-300)
     rel_resid = resid / scale
-    prof = DistanceProfile(m=m, vol=vol, cut=cut, diam=diam_ub,
-                           weight=str(weight.value), mode="empirical", coeffs=coeffs,
-                           fit_residual=resid, fit_condition=cond, coeff_errors=errs,
-                           tail_edges=edges, tail_w=tw, tail_wd=twd, tail_wd2=twd2,
-                           kind=surf.kind, metadata={"order": order, "reach": reach})
     if weight is WeightKind.ONE and rel_resid > 0.05:
         raise ReachError(
             f"small-t fit residual {rel_resid:.3g} too large; delta={delta:.4g} "
             f"likely exceeds the usable reach (estimate {reach:.4g})")
-    return prof
+    diam_ub = _bbox_diameter(nodes.x)
+    ncell = 4096
+    edges = cut[0] + (diam_ub - cut[0]) * np.arange(ncell + 1) / ncell
+    tw, twd, twd2 = _tail_moments(nodes.x, nodes.w, nodes.nu, weight, cut, edges,
+                                  workers=workers, rows=rows)
+    return DistanceProfile(m=m, vol=vol, cut=cut, diam=diam_ub,
+                           weight=str(weight.value), mode="empirical", coeffs=coeffs,
+                           fit_residual=resid, fit_condition=cond, coeff_errors=errs,
+                           tail_edges=edges, tail_w=tw, tail_wd=twd, tail_wd2=twd2,
+                           kind=surf.kind, metadata={"order": order, "reach": reach})
 
 
 # ---------------------------------------------------------------------------

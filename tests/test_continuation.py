@@ -456,12 +456,13 @@ def test_distance_profile_rejects_polygons():
 # --- worker determinism ---------------------------------------------------------
 
 def test_worker_count_bit_stable(ellipse_spec):
-    p1 = cont.distance_profile(ellipse_spec, workers=1)
-    p4 = cont.distance_profile(ellipse_spec, workers=4)
-    assert p1.to_text() == p4.to_text()
-    assert np.array_equal(p1.tail_w, p4.tail_w)
-    # curves bypass the pair accumulator; the torus orbit rows make eight
-    # chunks, and the nu weight reads the row normals
+    # the ellipse's ~977 nodes pair in two chunks, the torus orbit rows in
+    # eight, and the nu weight reads the row normals
+    for weight in (WeightKind.ONE, WeightKind.NU):
+        p1 = cont.distance_profile(ellipse_spec, weight, workers=1)
+        p4 = cont.distance_profile(ellipse_spec, weight, workers=4)
+        assert p1.to_text() == p4.to_text()
+        assert np.array_equal(p1.tail_w, p4.tail_w)
     torus = M.torus(2.0, 1.0)
     for weight in (WeightKind.ONE, WeightKind.NU):
         t1 = cont.distance_profile(torus, weight, order=24, workers=1)
@@ -479,49 +480,6 @@ def test_uniform_cell_matches_searchsorted():
                             np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
         ref = np.clip(np.searchsorted(edges, d, side="right") - 1, 0, 4095)
         assert np.array_equal(cont._uniform_cell(edges, d), ref)
-
-
-def _curve_cross_loop(patch, u0, x0, delta, period, direction):
-    """The one-node bracket-and-bisect that the vector solve replaced."""
-    lo, hi = 0.0, period / 64.0
-    for _ in range(80):
-        d = float(np.linalg.norm(patch.chart(
-            np.array([[u0[0] + direction * hi]])) - x0[None, :]))
-        if d >= delta:
-            break
-        hi *= 1.5
-        if hi > 0.5 * period:
-            hi = 0.5 * period
-            break
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        d = float(np.linalg.norm(patch.chart(
-            np.array([[u0[0] + direction * mid]])) - x0[None, :]))
-        if d < delta:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def test_curve_cross_matches_scalar_loop(ellipse_spec):
-    from residue_lab.manifold.quadrature import patch_grid
-    patch = ellipse_spec.patches[0]
-    u0s, _ = patch_grid(patch, 128)
-    x0s = patch.chart(u0s)
-    period, delta = 2.0 * math.pi, 0.2 * M.reach_estimate(ellipse_spec)
-    for direction in (1.0, -1.0):
-        ref = [_curve_cross_loop(patch, u0, patch.chart(u0[None, :])[0], delta,
-                                 period, direction) for u0 in u0s]
-        got = cont._curve_cross(patch, u0s, x0s, delta, period, direction)
-        assert np.array_equal(got, ref)
-
-
-def test_curve_cross_without_crossing_raises():
-    patch = M.circle(1.0).patches[0]
-    u0s = np.array([[0.0], [1.0]])
-    with pytest.raises(NumericError, match="half a period"):
-        cont._curve_cross(patch, u0s, patch.chart(u0s), 2.5, 2.0 * math.pi, 1.0)
 
 
 def _tail_moments_reference(x, wq, nus, weight, delta, edges):
@@ -889,18 +847,32 @@ def test_a_pair_grid_over_the_budget_shrinks_to_fit(weight, monkeypatch):
     assert abs(b0 - (prof.vol ** 2 if weight == "one" else 0.0)) <= 2e-5 * prof.vol ** 2
 
 
-def test_torus_values_below_the_first_pole_do_not_depend_on_the_cut(torus_profile):
+def test_torus_values_below_the_first_pole_do_not_depend_on_the_cut(torus_profile,
+                                                                     ellipse_profile):
+    # torus(2, 1) and ellipse(1, 0.6): (profile, spec, a second delta, {z: tolerance
+    # between the two cuts}, {pole: closed-form residue}, residue tolerance)
     R, r = 2.0, 1.0
-    other = cont.distance_profile(M.torus(R, r), delta=0.5)
-    assert other.cut != torus_profile.cut
-    a, b = (cont.beta_eval(p, -3.0).value.real for p in (torus_profile, other))
-    assert abs(a / b - 1.0) <= 1e-3
     s = math.sqrt(R * R - r * r)
-    for prof in (torus_profile, other):
-        assert cont.residue_from_profile(prof, -2)[0] == pytest.approx(
-            8 * math.pi ** 3 * R * r, rel=1e-5)
-        assert cont.residue_from_profile(prof, -4)[0] == pytest.approx(
-            math.pi ** 3 * R * R / (2 * r * s), rel=1e-5)
+    # the ellipse's R(-1) = 2L and R(-3) = 1/4 int kappa^2 ds, by the
+    # periodic trapezoid rule
+    a, b, n = 1.0, 0.6, 4096
+    u = 2.0 * math.pi * (np.arange(n) + 0.5) / n
+    speed = np.sqrt(a * a * np.sin(u) ** 2 + b * b * np.cos(u) ** 2)
+    length = np.sum(speed) * 2.0 * math.pi / n
+    bending = np.sum((a * b) ** 2 / speed ** 5) * 2.0 * math.pi / n
+    cases = [(torus_profile, M.torus(R, r), 0.5, {-3.0: 1e-3},
+              {-2: 8 * math.pi ** 3 * R * r, -4: math.pi ** 3 * R * R / (2 * r * s)}, 1e-5),
+             (ellipse_profile, M.ellipse(a, b), 0.5 * ellipse_profile.metadata["reach"],
+              {-2.5: 1e-6, -3.5: 1e-6}, {-1: 2.0 * length, -3: 0.25 * bending}, 1e-7)]
+    for prof, spec, delta, values, residues, rel in cases:
+        other = cont.distance_profile(spec, delta=delta)
+        assert other.cut != prof.cut
+        for z, tol in values.items():
+            v1, v2 = (cont.beta_eval(p, z).value.real for p in (prof, other))
+            assert abs(v1 / v2 - 1.0) <= tol
+        for p in (prof, other):
+            for pole, ref in residues.items():
+                assert cont.residue_from_profile(p, pole)[0] == pytest.approx(ref, rel=rel)
 
 
 def test_coeff_errors_cover_two_summation_orders_of_the_caps():
@@ -1057,6 +1029,15 @@ def test_polygon_finite_part_matches_richardson(pole):
     be = cont.polygon_beta(_SQUARE, pole)
     assert be.at_pole
     assert be.finite_part.real == pytest.approx(ref, rel=0, abs=1e-10)
+
+
+@pytest.mark.parametrize("delta", [1e-300, 5e-324])
+def test_a_rejected_delta_fails_before_the_pair_sum(delta, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cont, "_tail_moments", lambda *a, **k: calls.append(1))
+    with pytest.raises(NumericError):
+        cont.distance_profile(M.torus(2.0, 1.0), delta=delta)
+    assert calls == []
 
 
 def test_empirical_profile_beyond_four_dimensions_fails_before_sampling(monkeypatch):

@@ -75,7 +75,7 @@ def test_knot_value_invariance_ellipse():
     img = MB.transform_spec(ell, mp)
     prof_t = cont.distance_profile(img)
     after = cont.beta_eval(prof_t, -2.0).value.real
-    assert after == pytest.approx(before, rel=2e-4)
+    assert after == pytest.approx(before, rel=5e-8)
 
 
 def test_scaling_shifts_finite_part_by_residue_log(torus_profile):
