@@ -60,6 +60,13 @@ _RAMP_NODES = 64
 # difference of: two summation orders of the same caps (per node and per
 # rotation orbit) on ellipsoid((1, 1, 0.7)) differ by up to 2e-14 of it
 _MASS_RTOL = 3e-14
+# radial points of one block of cap centers. An ellipse's 528-point caps
+# share one Newton loop and its numpy call overhead, 31 to a block: its near
+# zone took 52 ms, against 207 ms at one center per call, and 2^13 or 2^15
+# points per block were no faster. A torus cap (9,600 points) stays one
+# center per block; 3 or 6 to a block ran within the noise of that, and all
+# 32 in one block 35% slower, on larger temporaries
+_CAP_POINTS = 1 << 14
 # entries of one pair chunk (4 MB per float array: the chunk's temporaries
 # stay small, and the pair sum ran 16% faster than at 512 x 4096), and the
 # most (row, node) pairs a profile spends on resolving its cut
@@ -89,15 +96,15 @@ def _needs_normals(weight: WeightKind) -> bool:
 
 
 def _pair_weight(weight: WeightKind, x, nux, y, nuy):
-    """Weight on pairs: x (N, n) against y (M, n) -> (N, M)."""
+    """Weight on pairs: x (..., N, n) against y (..., M, n) -> (..., N, M)."""
     if weight is WeightKind.ONE:
-        return np.ones((x.shape[0], y.shape[0]))
+        return np.ones(x.shape[:-1] + y.shape[-2:-1])
     if weight in (WeightKind.NU, WeightKind.NORMAL_PRODUCT):
-        return nux @ nuy.T
+        return nux @ np.swapaxes(nuy, -1, -2)
     if weight is WeightKind.REL_BOUNDARY:
-        return np.einsum("nmk,mk->nm", y[None, :, :] - x[:, None, :], nuy)
+        return np.einsum("...nmk,...mk->...nm", y[..., None, :, :] - x[..., :, None, :], nuy)
     if weight is WeightKind.REL_BOUNDARY_FLIPPED:
-        return np.einsum("nmk,nk->nm", x[:, None, :] - y[None, :, :], nux)
+        return np.einsum("...nmk,...nk->...nm", x[..., :, None, :] - y[..., None, :, :], nux)
     raise NumericError(f"unsupported weight {weight}")
 
 
@@ -388,7 +395,10 @@ def _tail_moments(x, wq, nus, weight, cut, edges, workers=None, rows=None):
     by default the nodes themselves (all ordered pairs; the diagonal, at
     d = 0 < e1, drops out). On an axis-symmetric shape one row per
     rotation orbit, weighted by the orbit's volume, gives the same double
-    integral: the pair weights are rotation invariant.
+    integral: the pair weights are rotation invariant. The rows are also
+    fixed by a reflection that maps the node grid onto itself, so there the
+    nodes (x, wq, nus) are half of each fiber at twice the weight
+    (``_pair_grid``).
     """
     xr, wr, nur = (x, wq, nus) if rows is None else rows
     e1, e2 = cut
@@ -424,7 +434,7 @@ def _tail_moments(x, wq, nus, weight, cut, edges, workers=None, rows=None):
 
 
 def _pair_grid(surf, cut, order, normals):
-    """(inner nodes, outer rows) of the tail pair sum.
+    """(grid nodes, inner (x, w, nu), outer rows) of the tail pair sum.
 
     Generic shapes pair every node of the order grid with every other (rows
     None). Closed curves pair every node too, and on an axis-symmetric shape
@@ -433,13 +443,23 @@ def _pair_grid(surf, cut, order, normals):
     spacing in space to at most ``_CURVE_SPACING`` or ``_CUT_SPACING``
     times e2 - e1, so that the ramp of the cut is resolved; the largest
     Gauss gap is ~ pi/2 times the mean one. Where that grid has more than
-    ``_MAX_ORBIT_PAIRS`` pairs (thin curves, m >= 3, or a narrow ramp), the
-    counts shrink by one common factor until it fits or they reach
-    ``order``, which leaves the ramp under-resolved, as on generic shapes.
+    ``_MAX_ORBIT_PAIRS`` (row, node) pairs (thin curves, m >= 3, or a narrow
+    ramp), the counts shrink by one common factor until it fits or they
+    reach ``order``, which leaves the ramp under-resolved, as on generic
+    shapes.
+
+    An axis-symmetric shape is also invariant under the reflection of its
+    last chart axis about the box midpoint (y -> -y on the torus, x0 -> -x0
+    on the spherical charts), which fixes every orbit row, maps the node
+    grid onto itself (index k to N-1-k on that axis) and keeps every pair
+    weight. The rows therefore pair only with the nodes k < N-1-k, at twice
+    their weight, and with the middle node of an odd N at its own. The grid
+    nodes, which give the volume and the diameter bound, stay the full grid.
     """
     curve = surf.m == 1
     if not (curve or axis_symmetric(surf)):
-        return sample_quadrature(surf, order, with_normals=normals), None
+        nodes = sample_quadrature(surf, order, with_normals=normals)
+        return nodes, (nodes.x, nodes.w, nodes.nu), None
     patch = surf.patches[0]
     # the chart's stretch along each axis, largest on the fiber midpoints
     (_, u, _), = integration_grid(surf, order)
@@ -456,10 +476,16 @@ def _pair_grid(surf, cut, order, normals):
         counts = [max(order, math.floor(c * shrink)) for c in counts]
     nodes = sample_quadrature(surf, counts, with_normals=normals)
     if curve:
-        return nodes, None
-    (_, u, w), = integration_grid(surf, counts[0])
+        return nodes, (nodes.x, nodes.w, nodes.nu), None
+    # the last axis varies fastest in the node order
+    k = np.arange(len(nodes)) % counts[-1]
+    mirror = counts[-1] - 1 - k
+    half = k <= mirror
+    w = np.where(k < mirror, 2.0, 1.0)[half] * nodes.w[half]
+    inner = (nodes.x[half], w, None if nodes.nu is None else nodes.nu[half])
+    (_, u, wr), = integration_grid(surf, counts[0])
     nu = normals_on_patch(surf, patch, u) if nodes.nu is not None else None
-    return nodes, (patch.chart(u), w, nu)
+    return nodes, inner, (patch.chart(u), wr, nu)
 
 
 # names of the former sharp-cut curve path that the benchmark tracer still
@@ -511,7 +537,9 @@ def _near_masses(spec, weight, delta, t_grid, order_sub, n_ang):
 
     Cap masses and pair weights are invariant under isometries, so the outer
     nodes are those of ``integration_grid``: one per rotation orbit on an
-    axis-symmetric shape.
+    axis-symmetric shape. Hypersurfaces with an implicit solve their caps in
+    blocks of as many nodes as fit in ``_CAP_POINTS`` radial points, one
+    ``_cap_masses_implicit`` call per block.
     """
     surf = spec.surface()
     m = surf.m
@@ -523,14 +551,19 @@ def _near_masses(spec, weight, delta, t_grid, order_sub, n_ang):
     masses = np.zeros(nbin)
     tmax = float(t_grid[-1])
     use_implicit = surf.implicit is not None and surf.codim == 1
+    block = max(1, _CAP_POINTS // (len(dirs) * nbin * len(gx)))
     for pi, u0s, wq in integration_grid(surf, order_sub):
         patch = surf.patches[pi]
+        if use_implicit:
+            x0s = patch.chart(u0s)
+            for s in range(0, len(x0s), block):
+                caps = _cap_masses_implicit(surf, x0s[s:s + block], weight, t_grid,
+                                            dirs, dirw, gx, gw)
+                for wx, cap in zip(wq[s:s + block], caps):
+                    masses += wx * cap
+            continue
         for u0, wx in zip(u0s, wq):
             x0 = patch.chart(u0[None, :])[0]
-            if use_implicit:
-                masses += wx * _cap_masses_implicit(surf, x0, weight, t_grid,
-                                                    dirs, dirw, gx, gw)
-                continue
             nu0 = (patch.normal(u0[None, :])
                    if (_needs_normals(weight) and patch.normal is not None) else None)
             J = patch_jacobian(patch, u0[None, :])[0]
@@ -596,57 +629,80 @@ def _cross_radii(patch, u0, x0, dirs, rho0, t_grid):
     return 0.5 * (lo + h)
 
 
+def _newton_rows(solve, x, data, floor, what):
+    """Newton iterates x (K, P), one row per center of a block: x -= step.
+
+    ``solve(rows, x, *data)`` returns (step, size) for the centers still
+    running, ``rows``, given their rows of x and of each per-center array in
+    ``data``; size is each center's step measure. A center stops once its
+    size falls below a fixed tolerance, or stops shrinking below its rounding
+    ``floor``, and is not updated again; NumericError after 60 steps.
+    """
+    x = x.copy()
+    rows = np.arange(len(x))
+    xa, last = x, np.full(len(x), math.inf)
+    for _ in range(60):
+        step, size = solve(rows, xa, *data)
+        xa -= step
+        done = (size < 1e-14) | ((size >= last) & (size < floor))
+        last = size
+        if done.any():
+            x[rows[done]] = xa[done]
+            keep = ~done
+            if not keep.any():
+                return x
+            rows, xa, last, floor = rows[keep], xa[keep], last[keep], floor[keep]
+            data = tuple(d[keep] for d in data)
+    raise NumericError(f"{what} did not converge in 60 steps (last step {np.max(last):.3g})")
+
+
 def _graph_f(imp, base, nu, f):
     """Points base + f nu on F = 0, by Newton in the offsets f from ``f``.
 
-    Stops below a fixed step tolerance, or once the steps stop shrinking at
-    the rounding floor, which grows with the size of the shape (the torus
-    quartic's terms are ~R^4 against |grad F| ~ 8 R^2 r).
+    One block of centers: base (K, M, n), nu (K, n), f (K, M). A center's
+    rounding floor grows with the size of the shape (the torus quartic's
+    terms are ~R^4 against |grad F| ~ 8 R^2 r).
     """
-    floor = 1e-10 * max(1.0, np.max(np.abs(base)))
-    last = math.inf
-    for _ in range(60):
-        F, g = imp.value_and_gradient(base + f[:, None] * nu[None, :])
-        slope = g @ nu
-        step = F / np.where(np.abs(slope) < 1e-300, 1e-300, slope)
-        f = f - step
-        smax = np.max(np.abs(step))
-        if smax < 1e-14 or (smax >= last and smax < floor):
-            return base + f[:, None] * nu[None, :]
-        last = smax
-    raise NumericError(
-        f"graph Newton around a cap center did not converge in 60 steps "
-        f"(last step {smax:.3g})")
+    def solve(rows, fa, ba, nua):
+        F, g = imp.value_and_gradient(
+            (ba + fa[:, :, None] * nua[:, None, :]).reshape(-1, ba.shape[2]))
+        slope = (g.reshape(ba.shape) @ nua[:, :, None])[:, :, 0]
+        step = F.reshape(slope.shape) / np.where(np.abs(slope) < 1e-300, 1e-300, slope)
+        return step, np.max(np.abs(step), axis=1)
+
+    floor = 1e-10 * np.maximum(1.0, np.max(np.abs(base), axis=(1, 2)))
+    f = _newton_rows(solve, f, (base, nu), floor, "graph Newton around a cap center")
+    return base + f[:, :, None] * nu[:, None, :]
 
 
 def _cap_boundary(imp, x0, nu, e, t):
-    """Cap boundary points in the tangent graph chart: (rho, f) per row.
+    """Cap boundary points in the tangent graph chart: (rho, f), each (K, P).
 
-    Row k solves F(x0 + t_k (cos a e_k + sin a nu)) = 0 for the angle a on
-    the chord sphere of radius t_k by Newton from a = 0, so rho = t cos a and
-    f = t sin a. The stop test reads the displacement t |step|, against the
-    same tolerance and rounding floor as ``_graph_f``. A root past the
-    tangent-graph sheet (nu . grad F <= 0, as beyond the equator of a
-    sphere) or on the opposite ray (rho <= 0) raises NumericError.
+    One block of centers x0 (K, n) with normals nu (K, n), ray directions e
+    (K, P, n) and chord radii t (P,). Row k of a center solves
+    F(x0 + t_k (cos a e_k + sin a nu)) = 0 for the angle a on the chord
+    sphere of radius t_k by Newton from a = 0, so rho = t cos a and
+    f = t sin a. A center's step measure is its displacement t |step|,
+    against the same tolerance and rounding floor as ``_graph_f``. A root
+    past the tangent-graph sheet (nu . grad F <= 0, as beyond the equator of
+    a sphere) or on the opposite ray (rho <= 0) raises NumericError.
     """
-    floor = 1e-10 * max(1.0, np.max(np.abs(x0)))
-    a = np.zeros(len(t))
-    last = math.inf
-    for _ in range(60):
+    gn = np.empty(e.shape[:2])
+
+    def solve(rows, a, x0a, nua, ea):
         c, s = np.cos(a), np.sin(a)
-        y = x0[None, :] + (t * c)[:, None] * e + (t * s)[:, None] * nu[None, :]
-        F, g = imp.value_and_gradient(y)
-        gn = g @ nu
-        slope = t * (c * gn - s * np.einsum("ij,ij->i", g, e))
-        step = F / np.where(np.abs(slope) < 1e-300, 1e-300, slope)
-        a = a - step
-        disp = np.max(t * np.abs(step))
-        if disp < 1e-14 or (disp >= last and disp < floor):
-            break
-        last = disp
-    else:
-        raise NumericError(
-            f"cap angle Newton did not converge in 60 steps (last step {disp:.3g})")
+        F, g = imp.value_and_gradient(
+            (x0a[:, None, :] + (t * c)[:, :, None] * ea
+             + (t * s)[:, :, None] * nua[:, None, :]).reshape(-1, ea.shape[2]))
+        g = g.reshape(ea.shape)
+        gna = (g @ nua[:, :, None])[:, :, 0]
+        gn[rows] = gna
+        slope = t * (c * gna - s * np.einsum("kij,kij->ki", g, ea))
+        step = F.reshape(slope.shape) / np.where(np.abs(slope) < 1e-300, 1e-300, slope)
+        return step, np.max(t * np.abs(step), axis=1)
+
+    floor = 1e-10 * np.maximum(1.0, np.max(np.abs(x0), axis=1))
+    a = _newton_rows(solve, np.zeros(e.shape[:2]), (x0, nu, e), floor, "cap angle Newton")
     # gn is read one step before the converged angle, enough for its sign
     rho = t * np.cos(a)
     if np.any(gn <= 0.0) or np.any(rho <= 0.0):
@@ -658,40 +714,45 @@ def _cap_boundary(imp, x0, nu, e, t):
 
 
 def _cap_masses_implicit(surf, x0, weight, t_grid, dirs, dirw, gx, gw):
-    """Cap masses around x0 through the ambient tangent graph chart.
+    """Cap masses (K, len(t_grid)) around a block of centers x0 (K, n),
+    through the ambient tangent graph chart of each.
 
     Valid for hypersurfaces with a polynomial implicit F. In the tangent
-    frame E at x0 the surface is the graph of an offset f(s) along nu. Each
-    cap boundary point, on the ray s = rho dir and at chord distance t from
-    x0, comes from one angle Newton on the chord sphere (``_cap_boundary``).
-    The offsets at the radial Gauss points solve F(x0 + E^T s + f nu) = 0 by
-    ``_graph_f``, warm-started from the boundary offset scaled by gx^2. The
-    area density is sqrt(1 + |grad_s f|^2) with grad_s f = -(E grad F)/
-    (nu . grad F).
+    frame E at a center the surface is the graph of an offset f(s) along nu.
+    Each cap boundary point, on the ray s = rho dir and at chord distance t
+    from the center, comes from one angle Newton on the chord sphere
+    (``_cap_boundary``). The offsets at the radial Gauss points solve
+    F(x0 + E^T s + f nu) = 0 by ``_graph_f``, warm-started from the boundary
+    offset scaled by gx^2. The area density is sqrt(1 + |grad_s f|^2) with
+    grad_s f = -(E grad F)/(nu . grad F). Both Newtons run the whole block
+    in one loop, and each center keeps its own stop rule, so a center's
+    masses do not depend on the block it is solved in.
     """
     imp = surf.implicit
     m = surf.m
-    g0 = imp.gradient(x0[None, :])[0]
-    nu = g0 / np.linalg.norm(g0)
-    P = np.eye(surf.n) - np.outer(nu, nu)
-    wvals, V = np.linalg.eigh(P)
-    E = V[:, wvals > 0.5].T                     # (m, n)
-    nd, nt, ng = len(dirs), len(t_grid), len(gx)
-    rho, fb = _cap_boundary(imp, x0, nu, np.repeat(dirs @ E, nt, axis=0),
+    # nu and E are laid out per center as a single-center solve lays them
+    # out, so that each center's BLAS calls, and its masses, are the same
+    # in any block
+    nu = np.stack([g / np.linalg.norm(g) for g in np.ascontiguousarray(imp.gradient(x0))])
+    P = np.eye(surf.n) - nu[:, :, None] * nu[:, None, :]
+    # eigh sorts the single zero eigenvalue of the projector P first
+    E = np.swapaxes(np.ascontiguousarray(np.linalg.eigh(P)[1][:, :, 1:]), 1, 2)  # (K, m, n)
+    K, nd, nt, ng = len(x0), len(dirs), len(t_grid), len(gx)
+    rho, fb = _cap_boundary(imp, x0, nu, np.repeat(dirs @ E, nt, axis=1),
                             np.tile(np.asarray(t_grid, dtype=float), nd))
-    rho = rho.reshape(nd, nt)
-    rr = rho[:, :, None] * gx[None, None, :]
-    S = rr.reshape(-1, 1) * np.repeat(dirs, nt * ng, axis=0)
-    f0 = (fb.reshape(nd, nt, 1) * (gx * gx)[None, None, :]).reshape(-1)
-    y = _graph_f(imp, x0[None, :] + S @ E, nu, f0)
-    grad = imp.gradient(y)
-    denom = grad @ nu
-    gs = -(grad @ E.T) / denom[:, None]
-    dens = np.sqrt(1.0 + np.sum(gs ** 2, axis=1)).reshape(rr.shape)
+    rho = rho.reshape(K, nd, nt)
+    rr = rho[..., None] * gx
+    S = rr.reshape(K, -1, 1) * np.repeat(dirs, nt * ng, axis=0)
+    f0 = (fb.reshape(K, nd, nt, 1) * (gx * gx)).reshape(K, -1)
+    y = _graph_f(imp, x0[:, None, :] + S @ E, nu, f0)
+    grad = imp.gradient(y.reshape(-1, surf.n)).reshape(y.shape)
+    denom = (grad @ nu[:, :, None])[:, :, 0]
+    gs = -(grad @ np.swapaxes(E, 1, 2)) / denom[:, :, None]
+    dens = np.sqrt(1.0 + np.sum(gs ** 2, axis=2)).reshape(rr.shape)
     lam = 1.0
     if weight is not WeightKind.ONE:
-        nuy = grad / np.linalg.norm(grad, axis=1, keepdims=True)
-        lam = _pair_weight(weight, x0[None, :], nu[None, :], y, nuy).reshape(rr.shape)
+        nuy = grad / np.linalg.norm(grad, axis=2, keepdims=True)
+        lam = _pair_weight(weight, x0[:, None, :], nu[:, None, :], y, nuy).reshape(rr.shape)
     integ = (dens * lam * rr ** (m - 1)) @ gw
     return dirw @ (integ * rho)
 
@@ -835,7 +896,7 @@ def _empirical_profile(spec, weight, delta, fit_degree, order, workers) -> Dista
     if delta > 0.8 * reach:
         raise ReachError(f"delta={delta:.4g} above 0.8 x estimated reach {reach:.4g}")
     cut = (_CUT_RATIO * delta, float(delta))
-    nodes, rows = _pair_grid(surf, cut, order, _needs_normals(weight) or None)
+    nodes, inner, rows = _pair_grid(surf, cut, order, _needs_normals(weight) or None)
     vol = nodes.total_weight
     # the near zone first: a delta that the caps or the fit reject fails
     # before the pair sum
@@ -856,8 +917,7 @@ def _empirical_profile(spec, weight, delta, fit_degree, order, workers) -> Dista
     diam_ub = _bbox_diameter(nodes.x)
     ncell = 4096
     edges = cut[0] + (diam_ub - cut[0]) * np.arange(ncell + 1) / ncell
-    tw, twd, twd2 = _tail_moments(nodes.x, nodes.w, nodes.nu, weight, cut, edges,
-                                  workers=workers, rows=rows)
+    tw, twd, twd2 = _tail_moments(*inner, weight, cut, edges, workers=workers, rows=rows)
     return DistanceProfile(m=m, vol=vol, cut=cut, diam=diam_ub,
                            weight=str(weight.value), mode="empirical", coeffs=coeffs,
                            fit_residual=resid, fit_condition=cond, coeff_errors=errs,
@@ -888,13 +948,16 @@ def _tail_part(profile: DistanceProfile, z: complex) -> complex:
     if profile.tail_quad is not None:
         return complex(profile.tail_quad(z))
     w, wd, wd2 = profile.tail_w, profile.tail_wd, profile.tail_wd2
-    mid = 0.5 * (profile.tail_edges[:-1] + profile.tail_edges[1:])
+    lo, hi = profile.tail_edges[:-1], profile.tail_edges[1:]
+    mid = 0.5 * (lo + hi)
     mask = w != 0.0
-    mid = np.where(mask, np.divide(wd, w, out=mid.copy(), where=mask), mid)
+    # the cell's weighted mean distance, kept inside the cell: a signed
+    # weight (<nu_x, nu_y>) that nearly cancels puts wd / w anywhere
+    mid = np.clip(np.divide(wd, w, out=mid.copy(), where=mask), lo, hi)
     f = mid ** z
     f1 = z * mid ** (z - 1)
     f2 = z * (z - 1) * mid ** (z - 2)
-    # second-order expansion around the cell's weighted mean distance
+    # second-order expansion around that point
     m2 = wd2 - 2.0 * mid * wd + mid ** 2 * w
     return complex(np.sum(f * w + f1 * (wd - mid * w) + 0.5 * f2 * m2))
 

@@ -456,8 +456,8 @@ def test_distance_profile_rejects_polygons():
 # --- worker determinism ---------------------------------------------------------
 
 def test_worker_count_bit_stable(ellipse_spec):
-    # the ellipse's ~977 nodes pair in two chunks, the torus orbit rows in
-    # eight, and the nu weight reads the row normals
+    # the ellipse's ~977 nodes pair in two chunks, the torus orbit rows with
+    # their half fibers in four, and the nu weight reads the row normals
     for weight in (WeightKind.ONE, WeightKind.NU):
         p1 = cont.distance_profile(ellipse_spec, weight, workers=1)
         p4 = cont.distance_profile(ellipse_spec, weight, workers=4)
@@ -559,8 +559,8 @@ def _cap(surf, t_grid, x0=np.zeros(3), ng=12):
     from residue_lab.manifold.quadrature import gauss_rule
     gx, gw = gauss_rule(ng)
     dirs, dirw = cont._direction_set(surf.m, 32)
-    return cont._cap_masses_implicit(surf, x0, WeightKind.ONE, t_grid, dirs, dirw,
-                                     0.5 * (gx + 1.0), 0.5 * gw)
+    return cont._cap_masses_implicit(surf, x0[None, :], WeightKind.ONE, t_grid, dirs, dirw,
+                                     0.5 * (gx + 1.0), 0.5 * gw)[0]
 
 
 def _graph_newton_from_zero(surf, radii):
@@ -569,7 +569,7 @@ def _graph_newton_from_zero(surf, radii):
     g0 = imp.gradient(np.zeros((1, 3)))[0]
     nu = g0 / np.linalg.norm(g0)
     base = np.array([[r, 0.0, 0.0] for r in radii] + [[0.0, r, 0.0] for r in radii])
-    return cont._graph_f(imp, base, nu, np.zeros(len(base)))
+    return cont._graph_f(imp, base[None], nu[None], np.zeros((1, len(base))))
 
 
 def test_cap_masses_converge_on_a_paraboloid():
@@ -676,10 +676,11 @@ def test_cap_angle_newton_matches_nested_loop(spec):
         nu = g0 / np.linalg.norm(g0)
         wvals, V = np.linalg.eigh(np.eye(spec.n) - np.outer(nu, nu))
         e = dirs @ V[:, wvals > 0.5].T
-        rho, _ = cont._cap_boundary(imp, x0, nu, np.repeat(e, len(t), axis=0),
+        rho, _ = cont._cap_boundary(imp, x0[None], nu[None], np.repeat(e, len(t), axis=0)[None],
                                     np.tile(t, len(dirs)))
         assert np.max(np.abs(rho.reshape(rho_ref.shape) / rho_ref - 1.0)) <= 1e-12
-        mass = cont._cap_masses_implicit(spec, x0, WeightKind.ONE, t, dirs, dirw, gx, gw)
+        mass = cont._cap_masses_implicit(spec, x0[None], WeightKind.ONE, t, dirs, dirw,
+                                         gx, gw)[0]
         assert np.max(np.abs(mass / mass_ref - 1.0)) <= 1e-12
 
 
@@ -728,8 +729,8 @@ def _near_masses_per_node(spec, weight, t_grid, order_sub, n_ang=32):
     masses = np.zeros(len(t_grid))
     for u0, wx in zip(u0s, wq):
         x0 = patch.chart(u0[None, :])[0]
-        masses += wx * cont._cap_masses_implicit(surf, x0, weight, t_grid, dirs, dirw,
-                                                 0.5 * (gx + 1.0), 0.5 * gw)
+        masses += wx * cont._cap_masses_implicit(surf, x0[None], weight, t_grid, dirs, dirw,
+                                                 0.5 * (gx + 1.0), 0.5 * gw)[0]
     return np.diff(np.concatenate([[0.0], masses]))
 
 
@@ -764,13 +765,13 @@ def test_orbit_reduced_near_masses_match_the_per_node_loop(spec, weight, monkeyp
     # cap masses are rotation invariant: one cap per grid row {u[0] = c}
     delta = 0.2 * M.reach_estimate(spec)
     t = delta * np.arange(1, 17) / 16
-    calls = []
+    centers = []
     cap = cont._cap_masses_implicit
     monkeypatch.setattr(cont, "_cap_masses_implicit",
-                        lambda *a: calls.append(1) or cap(*a))
+                        lambda *a: centers.append(len(a[1])) or cap(*a))
     reduced = cont._near_masses(spec, weight, delta, t, 10, 32)
     monkeypatch.undo()
-    assert len(calls) == 10
+    assert sum(centers) == 10
     ref = _near_masses_per_node(spec, weight, t, 10)
     assert np.max(np.abs(reduced / ref - 1.0)) <= 1e-13
 
@@ -779,18 +780,60 @@ def test_generic_ellipsoid_keeps_one_cap_per_node(monkeypatch):
     spec = M.ellipsoid((1.0, 1.3, 0.8))
     delta = 0.2 * M.reach_estimate(spec)
     t = delta * np.arange(1, 17) / 16
-    calls = []
+    centers = []
     cap = cont._cap_masses_implicit
     monkeypatch.setattr(cont, "_cap_masses_implicit",
-                        lambda *a: calls.append(1) or cap(*a))
+                        lambda *a: centers.append(len(a[1])) or cap(*a))
     masses = cont._near_masses(spec, WeightKind.ONE, delta, t, 8, 32)
-    assert len(calls) == 64
+    # 64 centers of 6,144 radial points, two to a block
+    assert sum(centers) == 64 and centers == [2] * 32
     monkeypatch.undo()
     assert np.array_equal(masses, _near_masses_per_node(spec, WeightKind.ONE, t, 8))
     # the reduction would be wrong here: the caps vary along each row
     monkeypatch.setattr(quadrature, "axis_symmetric", lambda s: True)
     wrong = cont._near_masses(spec, WeightKind.ONE, delta, t, 8, 32)
     assert np.max(np.abs(wrong / masses - 1.0)) > 1e-6
+
+
+@pytest.mark.parametrize("weight", [WeightKind.ONE, WeightKind.NU])
+def test_ellipse_cap_blocks_match_the_per_center_loop(weight, monkeypatch):
+    # 256 centers of 528 radial points solve in blocks of 31
+    spec = M.ellipse(1.0, 0.6)
+    delta = cont._CUT_TOP * M.reach_estimate(spec)
+    t = delta * np.arange(1, 23) / 22
+    centers = []
+    cap = cont._cap_masses_implicit
+    monkeypatch.setattr(cont, "_cap_masses_implicit",
+                        lambda *a: centers.append(len(a[1])) or cap(*a))
+    masses = cont._near_masses(spec, weight, delta, t, 256, 32)
+    monkeypatch.undo()
+    assert centers == [31] * 8 + [8]
+    assert np.array_equal(masses, _near_masses_per_node(spec, weight, t, 256))
+
+
+def test_a_cap_block_with_one_diverging_center_raises():
+    # F is nan around the center at u = pi only: the other centers of the
+    # block converge and stop, that one runs out of Newton steps
+    from dataclasses import replace
+    spec = M.ellipse(1.0, 0.6)
+
+    def poly(X, grad, ar):
+        F, g = spec.implicit.poly(X, grad, ar)
+        return np.where(X[0] < 0.0, np.nan, F), g
+
+    nan_spec = replace(spec, implicit=replace(spec.implicit, poly=poly))
+    u = np.array([[0.1], [0.2], [math.pi], [0.3], [0.4]])
+    x0 = spec.patches[0].chart(u)
+    t = 0.2 * M.reach_estimate(spec) * np.arange(1, 17) / 16
+    dirs, dirw = cont._direction_set(1, 32)
+    from residue_lab.manifold.quadrature import gauss_rule
+    gx, gw = gauss_rule(12)
+    args = (t, dirs, dirw, 0.5 * (gx + 1.0), 0.5 * gw)
+    rest = np.delete(x0, 2, axis=0)
+    good = cont._cap_masses_implicit(nan_spec, rest, WeightKind.ONE, *args)
+    assert np.array_equal(good, cont._cap_masses_implicit(spec, rest, WeightKind.ONE, *args))
+    with pytest.raises(NumericError, match="angle Newton did not converge"):
+        cont._cap_masses_implicit(nan_spec, x0, WeightKind.ONE, *args)
 
 
 def test_orbit_rows_reproduce_the_full_pair_sum(torus_spec):
@@ -810,17 +853,68 @@ def test_orbit_rows_reproduce_the_full_pair_sum(torus_spec):
             assert np.max(np.abs(orbit[k] - full[k])) <= 1e-13 * np.max(np.abs(full[k]))
 
 
+def _half_and_full_fiber_moments(spec, weight, order, cut=None):
+    # the orbit-row pair sum over half of each fiber (the profile's) and over
+    # the full fiber, on the grid of ``_pair_grid``
+    if cut is None:
+        delta = cont._CUT_TOP * M.reach_estimate(spec)
+        cut = (cont._CUT_RATIO * delta, delta)
+    nodes, inner, rows = cont._pair_grid(spec, cut, order, cont._needs_normals(weight) or None)
+    edges = cut[0] + (cont._bbox_diameter(nodes.x) - cut[0]) * np.arange(4097) / 4096
+    half = cont._tail_moments(*inner, weight, cut, edges, workers=1, rows=rows)
+    full = cont._tail_moments(nodes.x, nodes.w, nodes.nu, weight, cut, edges, workers=1,
+                              rows=rows)
+    return nodes, inner, half, full
+
+
+@pytest.mark.parametrize("spec, weight, budget", [
+    (M.torus(2.0, 1.0), WeightKind.ONE, None), (M.torus(2.0, 1.0), WeightKind.NU, None),
+    (M.ellipsoid((1.0, 1.0, 0.7)), WeightKind.ONE, None), (_torus_image(), WeightKind.ONE, None),
+    (M.ellipsoid((1.0, 1.0, 1.0, 0.7)), WeightKind.ONE, 1 << 19)],
+    ids=["torus-one", "torus-nu", "ellipsoid-110.7", "torus-image", "ellipsoid-111.7"])
+def test_half_fiber_pair_sum_matches_the_full_fiber(spec, weight, budget, monkeypatch):
+    # the reflection of the last chart axis fixes every orbit row and maps
+    # node k of that axis to node N-1-k
+    if budget is not None:
+        monkeypatch.setattr(cont, "_MAX_ORBIT_PAIRS", budget)
+    order = {2: 64, 3: 24}[spec.m]
+    nodes, inner, half, full = _half_and_full_fiber_moments(spec, weight, order)
+    assert len(inner[0]) <= 0.51 * len(nodes)
+    assert np.sum(inner[1]) == pytest.approx(nodes.total_weight, rel=1e-14)
+    for k in range(3):
+        assert np.max(np.abs(half[k] - full[k])) <= 1e-13 * np.max(np.abs(full[k]))
+
+
+def test_half_fiber_pairs_the_middle_node_of_an_odd_fiber_once():
+    # a cut this wide needs fewer nodes than the order: a 53 x 53 grid
+    spec, cut = M.torus(2.0, 1.0), (1.0, 4.0)
+    for weight in (WeightKind.ONE, WeightKind.NU):
+        nodes, inner, half, full = _half_and_full_fiber_moments(spec, weight, 53, cut)
+        assert len(nodes) == 53 * 53 and len(inner[0]) == 53 * 27
+        assert np.sum(inner[1]) == pytest.approx(nodes.total_weight, rel=1e-14)
+        for k in range(3):
+            assert np.max(np.abs(half[k] - full[k])) <= 1e-13 * np.max(np.abs(full[k]))
+
+
+def _grid_pairs(monkeypatch):
+    """(rows) x (full-fiber nodes) of each pair grid that ``_pair_grid``
+    builds from here on: the grid's pairs, about twice those summed."""
+    pairs = []
+    grid = cont._pair_grid
+
+    def counted(*args):
+        nodes, inner, rows = grid(*args)
+        pairs.append(len(rows[0]) * len(nodes))
+        return nodes, inner, rows
+
+    monkeypatch.setattr(cont, "_pair_grid", counted)
+    return pairs
+
+
 def test_torus_profile_pairs_one_row_per_orbit(monkeypatch):
     # R = 2.1 is the widest torus of the benchmark; its ramp-resolving grid
     # stays within 6.3M (row, node) pairs
-    pairs = []
-    tail = cont._tail_moments
-
-    def counted(x, *args, rows=None, **kw):
-        pairs.append(len(rows[0]) * len(x))
-        return tail(x, *args, rows=rows, **kw)
-
-    monkeypatch.setattr(cont, "_tail_moments", counted)
+    pairs = _grid_pairs(monkeypatch)
     prof = cont.distance_profile(M.torus(2.1, 1.0))
     assert len(pairs) == 1 and pairs[0] <= 6.3e6
     assert prof.cut[0] < prof.cut[1]
@@ -832,14 +926,7 @@ def test_a_pair_grid_over_the_budget_shrinks_to_fit(weight, monkeypatch):
     # revolution needs ~8e8 pairs; a smaller budget keeps the test quick
     budget = 1 << 22
     monkeypatch.setattr(cont, "_MAX_ORBIT_PAIRS", budget)
-    pairs = []
-    tail = cont._tail_moments
-
-    def counted(x, *args, rows=None, **kw):
-        pairs.append(len(rows[0]) * len(x))
-        return tail(x, *args, rows=rows, **kw)
-
-    monkeypatch.setattr(cont, "_tail_moments", counted)
+    pairs = _grid_pairs(monkeypatch)
     prof = cont.distance_profile(M.ellipsoid((1.0, 1.0, 1.0, 0.7)), weight=weight)
     assert len(pairs) == 1 and budget / 2 < pairs[0] <= budget
     # the energy at z = 0 is vol^2 for weight one, |int nu|^2 = 0 for nu
@@ -875,6 +962,39 @@ def test_torus_values_below_the_first_pole_do_not_depend_on_the_cut(torus_profil
                 assert cont.residue_from_profile(p, pole)[0] == pytest.approx(ref, rel=rel)
 
 
+def test_torus_nu_values_below_the_first_pole_at_a_near_cancelling_radius():
+    # at this radius the <nu_x, nu_y> weight of 129 tail cells nearly cancels
+    # and puts their weighted mean distance outside the cell
+    near = cont.distance_profile(M.torus(1.952930106501559, 1.0), "nu")
+    ref = cont.distance_profile(M.torus(1.955, 1.0), "nu")
+    for z in (-3.0, -2.0):
+        v1, v2 = (cont.beta_eval(p, z).value.real for p in (near, ref))
+        assert abs(v1 / v2 - 1.0) <= 2e-3
+
+
+def test_tail_expansion_point_stays_in_its_cell():
+    # cell 0: two pairs of opposite weight that nearly cancel, whose mean
+    # distance wd / w lies far outside [1, 1 + 1e-5]; cell 1: one pair
+    d = np.array([1.0 + 2e-6, 1.0 + 7e-6, 1.0 + 1.5e-5])
+    w = np.array([1.0, -(1.0 - 1e-9), 0.5])
+    cell = np.array([0, 0, 1])
+    edges = np.array([1.0, 1.0 + 1e-5, 1.0 + 2e-5])
+    moments = [np.bincount(cell, w * d ** k) for k in range(3)]
+    prof = cont.DistanceProfile(
+        m=2, vol=1.0, cut=(0.5, 0.5), diam=1.00002, weight="nu", mode="empirical",
+        coeffs=np.zeros(1), fit_residual=0.0, fit_condition=1.0,
+        coeff_errors=np.zeros(1), tail_edges=edges, tail_w=moments[0],
+        tail_wd=moments[1], tail_wd2=moments[2])
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    for z in (-3.0, -2.5, 1.0):
+        w0, w1, w2 = moments
+        midpoint = np.sum(mid ** z * w0 + z * mid ** (z - 1) * (w1 - mid * w0)
+                          + 0.5 * z * (z - 1) * mid ** (z - 2)
+                          * (w2 - 2.0 * mid * w1 + mid ** 2 * w0))
+        assert abs(cont._tail_part(prof, z) - midpoint) <= 1e-12
+        assert abs(cont._tail_part(prof, z) - np.sum(w * d ** z)) <= 1e-12
+
+
 def test_coeff_errors_cover_two_summation_orders_of_the_caps():
     # the orbit-reduced and the per-node cap sums round differently; the
     # coefficients fitted to each may differ only within coeff_errors
@@ -895,12 +1015,12 @@ def test_coeff_errors_cover_two_summation_orders_of_the_caps():
 
 
 def test_torus_profile_solves_one_cap_per_theta_row(torus_spec, monkeypatch):
-    calls = []
+    centers = []
     cap = cont._cap_masses_implicit
     monkeypatch.setattr(cont, "_cap_masses_implicit",
-                        lambda *a: calls.append(1) or cap(*a))
+                        lambda *a: centers.append(len(a[1])) or cap(*a))
     cont.distance_profile(torus_spec, order=64)
-    assert len(calls) == 32
+    assert sum(centers) == 32
 
 
 @pytest.mark.parametrize("R", [20.0, 50.0])
