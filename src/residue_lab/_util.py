@@ -17,10 +17,16 @@ class ConfigError(ValueError):
 
 
 def default_workers() -> int:
+    """The worker count in ``RESIDUE_LAB_WORKERS``, 1 when unset; ConfigError
+    unless it is an integer >= 1."""
+    raw = os.environ.get(ENV_WORKERS, "1")
     try:
-        return max(1, int(os.environ.get(ENV_WORKERS, "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        raise ConfigError(f"{ENV_WORKERS} must be an integer, got {raw!r}") from None
+    if workers < 1:
+        raise ConfigError(f"{ENV_WORKERS} must be >= 1, got {workers}")
+    return workers
 
 
 def chunked_map_reduce(func, chunks, workers=None):

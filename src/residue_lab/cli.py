@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import conformal, continuation as cont, oracles, residues as res, verify
-from ._util import ENV_WORKERS, ConfigError, NumericError, fmt_float
+from ._util import ENV_WORKERS, ConfigError, NumericError, default_workers, fmt_float
 from .manifold import shapes
 
 
@@ -60,17 +60,6 @@ def _parse_sweep(arg: str) -> np.ndarray:
     if npts > _MAX_SWEEP_ROWS:
         raise ConfigError(f"sweep asks for {npts:.3g} rows, more than {_MAX_SWEEP_ROWS}")
     return a0 + step * np.arange(npts)
-
-
-def _env_workers() -> int:
-    raw = os.environ.get(ENV_WORKERS, "1")
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{ENV_WORKERS} must be an integer, got {raw!r}") from exc
-    if workers < 1:
-        raise ConfigError(f"{ENV_WORKERS} must be >= 1, got {workers}")
-    return workers
 
 
 def _checked(kind, ok, what: str):
@@ -262,7 +251,7 @@ def main(argv=None) -> int:
                 "sweep": cmd_sweep, "verify": cmd_verify}
     try:
         if args.workers is None:
-            args.workers = _env_workers()
+            args.workers = default_workers()
         os.environ[ENV_WORKERS] = str(args.workers)
         return dispatch[args.cmd](args)
     except ConfigError as exc:

@@ -12,17 +12,17 @@ with the continued Mellin moments M_k(z) = int_0^inf t^(z+k) chi(t) dt =
 -1/(z+k+1) int t^(z+k+1) chi'(t) dt (O'Hara & Solanes, "Regularized Riesz
 energies of submanifolds"). The split is exact for the polynomial model;
 the model residual carries a t^(m-1+2J+2) weight and is negligible against
-the fit diagnostics it is reported with. A sharp cut e1 = e2 = delta gives
-M_k(z) = delta^(z+k+1)/(z+k+1). A smooth C-infinity cut makes the tail
-integrand smooth across the diagonal, so its pair sum converges
-spectrally on periodic grids.
+the fit diagnostics it is reported with. Every profile takes the same
+smooth C-infinity cut (delta / 4, delta), which makes the tail integrand
+smooth across the diagonal, so its pair sum converges spectrally on
+periodic grids.
 
 Profiles for round circles and spheres use closed-form distance
-distributions (every weight needed there depends on the chord length only)
-and a sharp cut, which makes the continuation spectrally accurate. Every
-other shape, closed curves included, uses the smooth cut: global pair
-quadrature for the tail and local polar quadrature around each sample
-point for the small-t data.
+distributions (every weight needed there depends on the chord length
+only), so their bins and tail are Gauss sums of a known density. Every
+other shape, closed curves included, uses global pair quadrature for the
+tail and local polar quadrature around each sample point for the small-t
+data.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -44,8 +44,8 @@ from .manifold.quadrature import (gauss_on, gauss_rule, integration_grid, normal
 from .manifold.shapes import ManifoldSpec, axis_symmetric
 
 POLE_GUARD = 1e-3
-# the smooth cut of empirical profiles: e2 = delta, which defaults to
-# _CUT_TOP x reach, and e1 = _CUT_RATIO x e2
+# the smooth cut of every profile: e2 = delta, which defaults to _CUT_TOP x
+# reach on empirical profiles, and e1 = _CUT_RATIO x e2
 _CUT_TOP = 0.75
 _CUT_RATIO = 0.25
 # node spacing of the pair grid on axis-symmetric shapes, in units of e2 - e1
@@ -127,10 +127,11 @@ class DistanceProfile:
     ``coeffs`` are the volume-normalized even coefficients abar_0, abar_2,
     ... of psi'(t) = t^(m-1) (abar_0 + abar_2 t^2 + ...), fitted on
     (0, e2]; the global residue at z = -m-2j is vol * coeffs[j]. ``cut`` is
-    (e1, e2), sharp when e1 = e2. Tail mass, weighted by 1 - chi, is stored
-    as per-cell moments (sum w, sum w d, sum w d^2) from e1 up, so the tail
+    (e1, e2) with 0 < e1 < e2. Tail mass, weighted by 1 - chi, is stored as
+    per-cell moments (sum w, sum w d, sum w d^2) from e1 up, so the tail
     integral of t^z is evaluated with a second-order midpoint correction at
-    any z.
+    any z. A profile is plain data: ``from_text(to_text())`` evaluates
+    bit-identically to it.
     """
     m: int
     vol: float
@@ -147,7 +148,6 @@ class DistanceProfile:
     tail_wd: np.ndarray
     tail_wd2: np.ndarray
     kind: str = ""
-    tail_quad: Optional[Callable] = None    # z -> complex, spectral tail integral
     metadata: dict = field(default_factory=dict)
 
     # -- pole bookkeeping ---------------------------------------------------
@@ -158,12 +158,9 @@ class DistanceProfile:
     @functools.cached_property
     def cut_rule(self) -> list:
         """(t, w) pairs of a quadrature for the density -chi'(t) dt of the cut,
-        whose weights sum to 1: one node (e2, 1.0) for a sharp cut, Gauss
-        nodes on the ramp of a smooth one. Python floats, so that a sharp
-        cut evaluates exactly as delta^p / p."""
+        whose weights sum to 1: ``_RAMP_NODES`` Gauss nodes on its ramp, as
+        Python floats."""
         e1, e2 = self.cut
-        if e1 == e2:
-            return [(float(e2), 1.0)]
         _, density = _smooth_ramp(e1, e2)
         t, w = gauss_on(e1, e2, _RAMP_NODES)
         return list(zip(t.tolist(), (w * density(t)).tolist()))
@@ -194,11 +191,8 @@ class DistanceProfile:
 
     @classmethod
     def from_text(cls, text: str) -> "DistanceProfile":
-        """Parse ``to_text`` output; NumericError on malformed or non-finite text.
-
-        A text without a ``cut`` line (written before the smooth cut) has the
-        sharp cut at its ``delta``.
-        """
+        """Parse ``to_text`` output; NumericError on malformed or non-finite
+        text, or on a cut without 0 < e1 < e2."""
         try:
             prof = cls._parse_text(text)
         except (IndexError, KeyError, ValueError) as exc:
@@ -209,8 +203,8 @@ class DistanceProfile:
                                   prof.tail_wd, prof.tail_wd2])
         if not np.all(np.isfinite(numbers)):
             raise NumericError("unknown profile format: non-finite number")
-        if not 0.0 < prof.cut[0] <= prof.cut[1]:
-            raise NumericError("unknown profile format: the cut needs 0 < e1 <= e2")
+        if not 0.0 < prof.cut[0] < prof.cut[1]:
+            raise NumericError("unknown profile format: the cut needs 0 < e1 < e2")
         return prof
 
     @classmethod
@@ -242,7 +236,7 @@ class DistanceProfile:
         if key != "tail_end":
             raise ValueError("missing tail_end")
         edges.append(float(tail_end))
-        e1, e2 = (float(v) for v in kv["cut"]) if "cut" in kv else 2 * (float(kv["delta"][0]),)
+        e1, e2 = (float(v) for v in kv["cut"])
         return cls(m=int(kv["m"][0]), vol=float(kv["vol"][0]),
                    cut=(e1, e2), diam=float(kv["diam"][0]),
                    weight=kv["weight"][0], mode=kv["mode"][0],
@@ -302,14 +296,11 @@ def _round_sphere_params(spec: ManifoldSpec):
 # ---------------------------------------------------------------------------
 
 def _fit_even_model(m: int, edges: np.ndarray, masses: np.ndarray, ncoef: int,
-                    scale: float):
-    """Least squares for psi'(t) = t^(m-1) sum_j a_j t^(2j) from bin masses.
+                    e2: float):
+    """Least squares for psi'(t) = t^(m-1) sum_j a_j t^(2j) from bin masses
+    on (0, e2].
 
-    Columns are scaled by scale^(2j). Empirical profiles pass 1 / e2, which
-    gives every column unit size on (0, e2]. The closed-form round profiles
-    pass delta, as they always have: their columns then shrink like
-    delta^(4j), and lstsq's cutoff drops the high ones, which exactly round
-    data leave at the rounding level.
+    Columns are scaled by (t / e2)^(2j), which gives each unit size there.
 
     Returns (coeffs, exponents, residual, condition, per-coefficient error
     estimates). The error of a coefficient combines the fit residual and the
@@ -323,10 +314,10 @@ def _fit_even_model(m: int, edges: np.ndarray, masses: np.ndarray, ncoef: int,
         A[:, j] = (edges[1:] ** p - edges[:-1] ** p) / p
     scale_rows = (edges[1:] ** m - edges[:-1] ** m) / m
     with np.errstate(all="ignore"):
-        scale_cols = scale ** expo.astype(float)
+        scale_cols = (1.0 / e2) ** expo.astype(float)
         Aw = A / scale_rows[:, None] * scale_cols[None, :]
     if not (np.all(np.isfinite(Aw)) and np.all(np.max(np.abs(Aw), axis=0) > 0.0)):
-        raise NumericError(f"the small-t fit design under- or overflows at scale {scale:.3g}")
+        raise NumericError(f"the small-t fit design under- or overflows at e2 = {e2:.3g}")
     bw = masses / scale_rows
     coef_scaled, res, rank, sv = np.linalg.lstsq(Aw, bw, rcond=None)
     coeffs = coef_scaled * scale_cols
@@ -423,7 +414,7 @@ def _tail_moments(x, wq, nus, weight, cut, edges, workers=None, rows=None):
         del d
         wv = wmat[sel]
         del wmat
-        ramp = dv < e2                          # empty for a sharp cut
+        ramp = dv < e2
         if ramp.any():
             wv[ramp] *= far(dv[ramp])
         del ramp
@@ -774,12 +765,11 @@ def distance_profile(spec: ManifoldSpec, weight: WeightKind = WeightKind.ONE,
     """Weighted interpoint-distance distribution of a closed spec.
 
     ``weight`` is a WeightKind or its string value (a ConfigError otherwise).
-    ``delta`` is the top e2 of the fitted near zone. Round shapes cut
-    sharply there, at 0.2 x reach by default; every other shape, curves
-    included, takes the smooth cut (delta / 4, delta), delta defaulting to
-    0.75 x estimated reach. The number of even coefficients defaults to
-    m//2 + 5 (closed-form data) or m//2 + 6 (smooth cut, whose near zone is
-    wider).
+    ``delta`` is the top e2 of the fitted near zone, and every shape takes
+    the smooth cut (delta / 4, delta). delta defaults to 0.2 x reach on
+    round shapes and to 0.75 x estimated reach elsewhere. The number of
+    even coefficients defaults to m//2 + 5 (closed-form data) or m//2 + 6
+    (empirical data, whose near zone is wider).
     """
     try:
         weight = WeightKind(weight)
@@ -810,64 +800,54 @@ def _round_profile(spec, weight, delta, fit_degree, geodesic) -> DistanceProfile
     """Closed-form profile of a round circle or sphere of radius r.
 
     Chord distance by default, geodesic (arc-length) distance when
-    ``geodesic``. The tail cells and the spectral ``tail_quad`` integrate in
-    a variable s in which the tail density stays smooth up to the diameter:
-    t = 2r sin(s) for chords, which absorbs the (1 - t^2/4r^2) endpoint
-    factor, and t = s for arcs.
+    ``geodesic``. The tail has one cell per Gauss node, with edges at the
+    node midpoints: ``_RAMP_NODES`` nodes on the ramp of the cut, weighted
+    by 1 - chi, then nodes up to the diameter in a variable s in which the
+    tail density stays smooth: t = 2r sin(s) for chords, which absorbs the
+    (1 - t^2/4r^2) endpoint factor, and t = s for arcs.
     """
     from .oracles import sphere_volume
     surf = spec.surface()
     m, r = _round_sphere_params(spec)
     vol = _round_chord_sphere_volume(m, r)
-    o = sphere_volume(m - 1)
-    lam = _round_weight_factor(weight, r)
     near = _round_near_density(m, r, weight, geodesic)
     if geodesic:
         delta = 0.2 * math.pi * r if delta is None else delta
         diam, nquad, suffix = math.pi * r, 200, "-geodesic"
-
-        def tail(s):
-            return s, vol * near(s)
+        s, ws = gauss_on(delta, diam, nquad)
+        t, dens = s, vol * near(s)
     else:
         if delta is None:
             delta = 0.2 * r  # reach of the round sphere is r
         if delta >= 1.6 * r:
             raise ReachError(f"delta={delta} exceeds the sphere reach {r}")
         diam, nquad, suffix = 2.0 * r, 160, ""
-
-        def tail(s):    # psi' dt = vol o Lambda (2r sin s)^{m-1} cos^{m-1} s 2r ds
-            t = 2.0 * r * np.sin(s)
-            return t, vol * o * lam(t) * t ** (m - 1) * np.cos(s) ** (m - 1) * 2.0 * r
-
+        # psi' dt = vol o Lambda (2r sin s)^{m-1} cos^{m-1} s 2r ds
+        s, ws = gauss_on(math.asin(delta / diam), 0.5 * math.pi, nquad)
+        t = diam * np.sin(s)
+        dens = (vol * sphere_volume(m - 1) * _round_weight_factor(weight, r)(t)
+                * t ** (m - 1) * np.cos(s) ** (m - 1) * diam)
     ncoef = fit_degree if fit_degree is not None else m // 2 + 5
     nbin = max(3 * ncoef, 18)
     edges = delta * np.arange(nbin + 1) / nbin
     masses = _cell_gauss(edges, 24, lambda ts: (near(ts),))[0]
     coeffs, expo, resid, cond, errs = _fit_even_model(m, edges, masses, ncoef, delta)
-    ncell = 2048
-    tail_edges = delta + (diam - delta) * np.arange(ncell + 1) / ncell
-    s_edges = tail_edges if geodesic else np.arcsin(np.clip(tail_edges / diam, 0.0, 1.0))
-    tw, twd, twd2 = _cell_gauss(s_edges, 6, lambda s: _moments(*tail(s)))
-
-    def tail_quad(z, _s0=float(s_edges[0]), _s1=float(s_edges[-1])):
-        s, ws = gauss_on(_s0, _s1, nquad)
-        t, dens = tail(s)
-        return complex(np.sum(ws * t ** complex(z) * dens))
-
-    return DistanceProfile(m=m, vol=vol, cut=(float(delta), float(delta)), diam=diam,
+    cut = (_CUT_RATIO * delta, float(delta))
+    far, _ = _smooth_ramp(*cut)
+    t_ramp, w_ramp = gauss_on(*cut, _RAMP_NODES)
+    t = np.concatenate([t_ramp, t])
+    w = np.concatenate([w_ramp * vol * near(t_ramp) * far(t_ramp), ws * dens])
+    tail_edges = np.concatenate([[cut[0]], 0.5 * (t[:-1] + t[1:]), [diam]])
+    return DistanceProfile(m=m, vol=vol, cut=cut, diam=diam,
                            weight=str(weight.value) + suffix, mode="exact", coeffs=coeffs,
                            fit_residual=resid, fit_condition=cond, coeff_errors=errs,
-                           tail_edges=tail_edges, tail_w=tw, tail_wd=twd, tail_wd2=twd2,
-                           kind=surf.kind + suffix, tail_quad=tail_quad, metadata={"r": r})
+                           tail_edges=tail_edges, tail_w=w, tail_wd=w * t, tail_wd2=w * t * t,
+                           kind=surf.kind + suffix, metadata={"r": r})
 
 
 def _round_chord_sphere_volume(m, r) -> float:
     from .oracles import sphere_volume
     return sphere_volume(m) * r ** m
-
-
-def _moments(t, dens):
-    return dens, dens * t, dens * t * t
 
 
 def _cell_gauss(edges, npts, integrand):
@@ -907,7 +887,7 @@ def _empirical_profile(spec, weight, delta, fit_degree, order, workers) -> Dista
     n_ang = 32
     masses = _near_masses(spec, weight, delta, t_grid, order_sub, n_ang) / vol
     bin_edges = np.concatenate([[0.0], t_grid])
-    coeffs, expo, resid, cond, errs = _fit_even_model(m, bin_edges, masses, ncoef, 1.0 / delta)
+    coeffs, expo, resid, cond, errs = _fit_even_model(m, bin_edges, masses, ncoef, delta)
     scale = max(abs(coeffs[0]), np.max(np.abs(coeffs)) * 1e-6, 1e-300)
     rel_resid = resid / scale
     if weight is WeightKind.ONE and rel_resid > 0.05:
@@ -945,8 +925,6 @@ def _near_part(profile: DistanceProfile, z: complex, skip_j: int | None = None) 
 
 
 def _tail_part(profile: DistanceProfile, z: complex) -> complex:
-    if profile.tail_quad is not None:
-        return complex(profile.tail_quad(z))
     w, wd, wd2 = profile.tail_w, profile.tail_wd, profile.tail_wd2
     lo, hi = profile.tail_edges[:-1], profile.tail_edges[1:]
     mid = 0.5 * (lo + hi)

@@ -3,8 +3,7 @@
 from .shapes import (ManifoldSpec, Patch, ball, circle, clifford_torus, ellipse,
                      ellipsoid, ellipsoid_body, from_config, load_config,
                      parallel_body, polygon_knot, scaled, sphere, spheroid, torus)
-from .quadrature import (NodeSet, QuadratureNode, body_volume, sample_quadrature,
-                         sphere_monomial_integral)
+from .quadrature import NodeSet, body_volume, sample_quadrature, sphere_monomial_integral
 from .frames import (CurvatureFrame, curvature_frame, laplacian_invariants,
                      nu_weight, reach_estimate)
 
@@ -12,7 +11,7 @@ __all__ = [
     "ManifoldSpec", "Patch", "ball", "circle", "clifford_torus", "ellipse",
     "ellipsoid", "ellipsoid_body", "from_config", "load_config", "parallel_body",
     "polygon_knot", "scaled", "sphere", "spheroid", "torus",
-    "NodeSet", "QuadratureNode", "body_volume", "sample_quadrature",
+    "NodeSet", "body_volume", "sample_quadrature",
     "sphere_monomial_integral",
     "CurvatureFrame", "curvature_frame", "laplacian_invariants", "nu_weight",
     "reach_estimate",

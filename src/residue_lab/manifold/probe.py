@@ -88,7 +88,11 @@ class GraphProbe:
         """f(s) for tangent offsets S (N, m); returns (N, n-m).
 
         Quasi-Newton with the frozen base-point matrix E J(u0); offsets stay
-        well inside the curvature radius, so the contraction is strong.
+        well inside the curvature radius, so the contraction is strong. The
+        absolute stop 1e-14 need not fire on a large shape, so the solve is
+        accepted once the last residual is within the rounding floor of
+        ``continuation._graph_f``, 1e-10 max(1, |x0|); NumericError
+        otherwise, a NaN residual included.
         """
         S = np.atleast_2d(S)
         A = self.JtE
@@ -99,6 +103,10 @@ class GraphProbe:
             U = U - np.linalg.solve(A, res.T).T
             if np.max(np.abs(res)) < 1e-14:
                 break
+        resid = np.max(np.abs(res))
+        if not resid <= 1e-10 * max(1.0, np.max(np.abs(self.x0))):
+            raise NumericError(f"graph probe Newton did not converge on {self.patch.label!r} "
+                               f"at u={self.u0} (residual {resid:.3g})")
         X = self.patch.chart(U)
         return (X - self.x0[None, :]) @ self.NB.T
 

@@ -12,7 +12,6 @@ oriented by its parametrization (``normals_on_patch``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -39,21 +38,10 @@ def gauss_on(a: float, b: float, order: int) -> tuple[np.ndarray, np.ndarray]:
     return mid + half * x, half * w
 
 
-@dataclass(frozen=True)
-class QuadratureNode:
-    patch: str
-    u: np.ndarray
-    x: np.ndarray
-    w: float
-    nu: np.ndarray | None = None
-
-
 class NodeSet:
-    """Array-backed sequence of quadrature nodes for one spec."""
+    """Quadrature nodes of one spec, as arrays."""
 
-    def __init__(self, spec: ManifoldSpec, patch_labels, u, x, w, nu=None):
-        self.spec = spec
-        self.patch_labels = patch_labels
+    def __init__(self, u, x, w, nu=None):
         self.u = u          # (N, m)
         self.x = x          # (N, n)
         self.w = w          # (N,)
@@ -61,13 +49,6 @@ class NodeSet:
 
     def __len__(self) -> int:
         return self.x.shape[0]
-
-    def __getitem__(self, i: int) -> QuadratureNode:
-        nu = None if self.nu is None else self.nu[i]
-        return QuadratureNode(self.patch_labels[i], self.u[i], self.x[i], float(self.w[i]), nu)
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
     @property
     def total_weight(self) -> float:
@@ -174,18 +155,17 @@ def sample_quadrature(spec: ManifoldSpec, order, with_normals: bool | None = Non
     surf = spec.surface()
     if with_normals is None:
         with_normals = surf.codim == 1
-    u_all, x_all, w_all, nu_all, labels = [], [], [], [], []
+    u_all, x_all, w_all, nu_all = [], [], [], []
     for pi, u, w in _tensor_blocks(surf, order):
         patch = surf.patches[pi]
         u_all.append(u)
         x_all.append(patch.chart(u))
         w_all.append(w)
-        labels.extend([patch.label] * len(u))
         if with_normals:
             nu_all.append(normals_on_patch(surf, patch, u))
     nu = np.concatenate(nu_all, axis=0) if (with_normals and nu_all) else None
-    return NodeSet(surf, labels, np.concatenate(u_all, axis=0),
-                   np.concatenate(x_all, axis=0), np.concatenate(w_all), nu)
+    return NodeSet(np.concatenate(u_all, axis=0), np.concatenate(x_all, axis=0),
+                   np.concatenate(w_all), nu)
 
 
 def normals_on_patch(spec: ManifoldSpec, patch: Patch, u: np.ndarray) -> np.ndarray:

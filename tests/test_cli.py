@@ -397,40 +397,40 @@ def test_frames_too_large_to_build_exit_3(capsys):
     assert "coefficients" in capsys.readouterr().err
 
 
-# --cmd beta output of the closed-form round profiles, which keep the sharp cut
+# --cmd beta output of the closed-form round profiles
 _ROUND_BETA = {
     "sphere2": """z,re_value,im_value,method,note
 1,210.55156055657213,0,profile,
 0,157.91367041742916,0,profile,
 -0.5,148.88243625896234,0,profile,
--1.5,223.32365438844451,0,profile,
--2.5,-111.66182719421647,0,profile,
--1,157.91367041742956,0,profile,
--2,78.956835208714779,0,profile,pole@-2;finite_part=54.72870771085897
--3,-39.478417604343861,0,profile,
--4,3.429776656506999e-12,0,profile,pole@-4;finite_part=-9.8696044010246169
+-1.5,223.32365438844462,0,profile,
+-2.5,-111.66182719421704,0,profile,
+-1,157.91367041742959,0,profile,
+-2,78.956835208714836,0,profile,pole@-2;finite_part=54.7287077108586
+-3,-39.478417604344145,0,profile,
+-4,1.1367920911588752e-11,0,profile,pole@-4;finite_part=-9.8696044010484911
 """,
     "circle": """z,re_value,im_value,method,note
-1,50.265482457436676,0,profile,
+1,50.265482457436661,0,profile,
 0,39.478417604357446,0,profile,
--0.5,46.597979083335019,0,profile,
--1.5,-10.6463936128618,0,profile,
--2.5,3.8831649233670618,0,profile,
--1,12.566370614359556,0,profile,pole@-1;finite_part=17.420688722427396
--2,-3.0013325158506632e-11,0,profile,
--3,1.5707963262525144,0,profile,pole@-3;finite_part=1.3921879285681484
--4,1.490707290940918e-08,0,profile,
+-0.5,46.597979083335034,0,profile,
+-1.5,-10.646393612861942,0,profile,
+-2.5,3.8831649233666212,0,profile,
+-1,12.566370614359567,0,profile,pole@-1;finite_part=17.420688722427329
+-2,-3.0269120543380268e-11,0,profile,
+-3,1.5707963262526095,0,profile,pole@-3;finite_part=1.3921879285667842
+-4,1.4899796951794997e-08,0,profile,
 """,
     "ball3": """z,re_value,im_value,method,note
 1,18.047276619134735,-0,boundary-reduction,
 0,17.54596337971433,-0,boundary-reduction,
--0.5,18.561966079039419,-0,boundary-reduction,
--1.5,26.467988668259867,-0,boundary-reduction,
--2.5,85.075677862264854,0,boundary-reduction,
--1,21.055156055657186,-0,boundary-reduction,
+-0.5,18.561966079039415,-0,boundary-reduction,
+-1.5,26.467988668259856,-0,boundary-reduction,
+-2.5,85.075677862264925,0,boundary-reduction,
+-1,21.055156055657179,-0,boundary-reduction,
 -2,39.478417604357674,0,boundary-reduction,
--3,52.63789013914365,0,boundary-reduction,pole@-3;finite_part=-33.698048378286742
--4,-39.47841760435756,0,boundary-reduction,pole@-4;finite_part=-47.103562657608506
+-3,52.637890139143678,0,boundary-reduction,pole@-3;finite_part=-33.698048378286799
+-4,-39.478417604357659,0,boundary-reduction,pole@-4;finite_part=-47.103562657608485
 """,
 }
 _ROUND_SHAPES = {"sphere2": '{"kind": "sphere", "params": {"m": 2}}', "circle": _CIRCLE,

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -98,40 +99,59 @@ def test_profile_serialization_roundtrip(circle_profile):
     text = circle_profile.to_text()
     back = cont.DistanceProfile.from_text(text)
     assert back.to_text() == text
-    v0 = cont.beta_eval(circle_profile, 1.0).value
-    v1 = cont.beta_eval(back, 1.0).value
-    # the deserialized profile evaluates tails through the cell table
-    assert abs(v0 - v1) / abs(v0) < 1e-6
+    assert cont.beta_eval(back, 1.0).value == cont.beta_eval(circle_profile, 1.0).value
     r0 = cont.residue_from_profile(circle_profile, -3)[0]
     r1 = cont.residue_from_profile(back, -3)[0]
     assert r0 == r1
 
 
-def test_profile_text_without_a_cut_line_is_a_sharp_cut(circle_profile):
-    # the format before the smooth cut wrote "delta e2" where "cut e1 e2" is now
-    e2 = cont.fmt_float(circle_profile.cut[1])
-    text = circle_profile.to_text()
-    old = text.replace(f"cut {e2} {e2}\n", f"delta {e2}\n")
-    assert old != text
-    prof = cont.DistanceProfile.from_text(old)
-    assert prof.cut == circle_profile.cut
-    d = prof.cut[1]
+# one profile of each construction: closed form (chord, arc, body and
+# relative weights), closed curve and axis-symmetric surface
+_BUILT = {
+    "circle": lambda: cont.distance_profile(M.circle(1.0)),
+    "sphere2": lambda: cont.distance_profile(M.sphere(2, 1.0)),
+    "sphere2-geodesic": lambda: cont.distance_profile(M.sphere(2, 1.0), geodesic=True),
+    "ball3-body": lambda: cont.body_profile(M.ball(3)),
+    "ball3-relative": lambda: cont.relative_profile(M.ball(3)),
+    "ellipse-one": lambda: cont.distance_profile(M.ellipse(1.0, 0.6)),
+    "ellipse-nu": lambda: cont.distance_profile(M.ellipse(1.0, 0.6), weight="nu"),
+    "torus-24": lambda: cont.distance_profile(M.torus(2.0, 1.0), order=24),
+}
 
-    def near(z, skip=None):
-        # the sharp-cut near part as written before the cut: vol sum_j a_j d^p / p
-        total = 0.0 + 0.0j
-        for j, a in enumerate(prof.coeffs):
-            if j == skip:
-                total += a * math.log(d)
-                continue
-            p = z + prof.m + 2 * j
-            total += a * d ** p / p
-        return prof.vol * total
 
-    for z in (1.0, -0.5, -1.5, -2.5):
-        zc = complex(z)
-        assert cont.beta_eval(prof, z).value == near(zc) + cont._tail_part(prof, zc)
-    assert cont.beta_eval(prof, -3.0).finite_part == near(-3.0, 1) + cont._tail_part(prof, -3.0)
+@functools.lru_cache(maxsize=None)
+def _built(name):
+    return _BUILT[name]()
+
+
+@pytest.mark.parametrize("name", sorted(_BUILT))
+def test_profile_text_round_trip_evaluates_bit_identically(name):
+    prof = _built(name)
+    back = cont.DistanceProfile.from_text(prof.to_text())
+    for z in [1.0, 0.0, -0.5, -1.5, -2.5, -3.5] + list(prof.poles()):
+        a, b = cont.beta_eval(prof, z), cont.beta_eval(back, z)
+        assert (a.value, a.residue, a.finite_part) == (b.value, b.residue, b.finite_part)
+
+
+@pytest.mark.parametrize("name", sorted(_BUILT))
+def test_profile_texts_need_a_smooth_cut(name):
+    # texts written before the smooth cut carry "delta e2" in place of
+    # "cut e1 e2"; they, and a cut with e1 = e2, are not profiles
+    prof = _built(name)
+    e1, e2 = prof.cut
+    assert 0.0 < e1 < e2
+    text = prof.to_text()
+    cut = f"cut {cont.fmt_float(e1)} {cont.fmt_float(e2)}\n"
+    assert cut in text
+    for bad in (f"delta {cont.fmt_float(e2)}\n", f"cut {cont.fmt_float(e2)} {cont.fmt_float(e2)}\n"):
+        with pytest.raises(NumericError, match="unknown profile format"):
+            cont.DistanceProfile.from_text(text.replace(cut, bad))
+
+
+def test_round_fit_condition_is_small():
+    # columns scaled by (t / e2)^(2j), as on empirical profiles
+    for spec in (M.circle(1.0), M.sphere(2, 1.0), M.sphere(4, 1.0)):
+        assert cont.distance_profile(spec).fit_condition < 1e5
 
 
 def test_smooth_cut_moments_match_direct_quadrature(circle_profile):
@@ -470,6 +490,14 @@ def test_worker_count_bit_stable(ellipse_spec):
         assert t1.to_text() == t2.to_text()
 
 
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_bad_workers_env_is_a_config_error_in_the_library(raw, ellipse_spec, monkeypatch):
+    # the library reads RESIDUE_LAB_WORKERS as the command line does
+    monkeypatch.setenv("RESIDUE_LAB_WORKERS", raw)
+    with pytest.raises(ConfigError, match="RESIDUE_LAB_WORKERS must be"):
+        cont.distance_profile(ellipse_spec, workers=None)
+
+
 # --- hot loops against their reference loops ------------------------------------
 
 def test_uniform_cell_matches_searchsorted():
@@ -520,23 +548,24 @@ def test_tail_moments_match_reference(torus_spec):
             assert np.array_equal(got[k], ref[k])
 
 
-def test_exact_tail_cells_match_per_cell_dot():
+def test_round_tail_cells_are_its_gauss_nodes():
+    # one cell per node: 64 Gauss nodes on the ramp (e1, e2) weighted by
+    # 1 - chi, then 160 in s = arcsin(t / 2r) from e2 to the diameter
     from residue_lab.manifold.quadrature import gauss_on
-    m, r, delta = 2, 1.3, 0.26
-    prof = cont.distance_profile(M.sphere(m, r), weight=WeightKind.NU, delta=delta)
-    vol = cont._round_chord_sphere_volume(m, r)
-    lam = cont._round_weight_factor(WeightKind.NU, r)
-    edges = prof.tail_edges
-    assert len(edges) == 2049
-    phis = np.arcsin(np.clip(edges / (2.0 * r), 0.0, 1.0))
-    o = O.sphere_volume(m - 1)
-    for k in range(len(edges) - 1):
-        ph, wp = gauss_on(phis[k], phis[k + 1], 6)
-        t = 2.0 * r * np.sin(ph)
-        dens = vol * o * lam(t) * t ** (m - 1) * np.cos(ph) ** (m - 1) * 2.0 * r
-        assert (prof.tail_w[k], prof.tail_wd[k], prof.tail_wd2[k]) == (
-            float(np.dot(wp, dens)), float(np.dot(wp, dens * t)),
-            float(np.dot(wp, dens * t * t)))
+    m, r = 2, 1.3
+    prof = cont.distance_profile(M.sphere(m, r), weight=WeightKind.NU)
+    e1, e2 = prof.cut
+    vol = 4.0 * math.pi * r * r
+    t1, w1 = gauss_on(e1, e2, 64)
+    w1 = w1 * vol * 2.0 * math.pi * t1 * (1.0 - t1 ** 2 / (2.0 * r * r)) \
+        * cont._smooth_ramp(e1, e2)[0](t1)
+    s, ws = gauss_on(math.asin(e2 / (2.0 * r)), 0.5 * math.pi, 160)
+    t2 = 2.0 * r * np.sin(s)
+    w2 = ws * vol * 2.0 * math.pi * t2 * (1.0 - t2 ** 2 / (2.0 * r * r)) * 2.0 * r * np.cos(s)
+    assert len(prof.tail_w) == 224
+    for z in (1.0, -0.5, -2.5):
+        direct = np.sum(w1 * t1 ** z) + np.sum(w2 * t2 ** z)
+        assert cont._tail_part(prof, z) == pytest.approx(direct, rel=1e-14, abs=0.0)
 
 
 # --- convergence checks ---------------------------------------------------------
@@ -1006,7 +1035,7 @@ def test_coeff_errors_cover_two_summation_orders_of_the_caps():
     edges = np.concatenate([[0.0], t])
 
     def fit(masses):
-        return cont._fit_even_model(2, edges, masses / prof.vol, ncoef, 1.0 / e2)[0]
+        return cont._fit_even_model(2, edges, masses / prof.vol, ncoef, e2)[0]
 
     assert np.array_equal(fit(cont._near_masses(spec, WeightKind.ONE, e2, t, 32, 32)),
                           prof.coeffs)

@@ -7,6 +7,7 @@ import residue_lab.manifold as M
 from residue_lab.manifold.frames import (curvature_frame, laplacian_invariants,
                                          nu_weight, oriented_tangent_frame,
                                          reach_estimate)
+from residue_lab._util import NumericError
 from residue_lab.manifold.probe import GraphProbe
 from residue_lab.residues import frame_integral
 
@@ -128,6 +129,44 @@ def test_codim2_frames_clifford():
     # flat intrinsic geometry: Sc = 0; |H|^2 = 2 for the square Clifford torus
     assert fr.scalar_curvature == pytest.approx(0.0, abs=1e-9)
     assert fr.mean_sq == pytest.approx(2.0, rel=1e-8)
+
+
+def _space_curve(chart):
+    patch = M.Patch(box=((-1.0, 1.0),), chart=chart, periodic=(False,), label="curve")
+    return M.ManifoldSpec(kind="curve", m=1, n=3, patches=(patch,), closed=False), patch
+
+
+def test_graph_probe_raises_on_a_nan_chart():
+    def chart(u):
+        t = u[:, 0]
+        x = np.stack([np.cos(t), np.sin(t), 0.0 * t], axis=1)
+        return np.where(np.abs(t - 0.3)[:, None] > 1e-3, np.nan, x)
+
+    spec, patch = _space_curve(chart)
+    probe = GraphProbe(spec, patch, [0.3])
+    with pytest.raises(NumericError, match="graph probe Newton did not converge"):
+        probe.graph_values(np.array([[0.01]]))
+
+
+def test_graph_probe_raises_on_a_chart_that_folds_inside_the_stencil():
+    # the tangent projection u - c u^3 of the curve folds at |s| = 2 / (3 sqrt(3c)),
+    # 3.8e-3, inside the 1e-2 stencil of the second derivatives
+    def chart(u):
+        t = u[:, 0]
+        return np.stack([t - 1e4 * t ** 3, t * t, 0.0 * t], axis=1)
+
+    spec, patch = _space_curve(chart)
+    probe = GraphProbe(spec, patch, [0.0])
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="did not converge"):
+        probe.derivative_tensors(2)
+
+
+@pytest.mark.parametrize("r1, r2", [(1.0, 1.0), (1000.0, 2000.0)])
+def test_graph_probe_converges_on_clifford_tori(r1, r2):
+    # the absolute stop 1e-14 never fires on the large torus, whose
+    # residual sits at ~1e-13; the rounding floor accepts it
+    fr = curvature_frame(M.clifford_torus(r1, r2), [0.7, 1.9])
+    assert fr.mean_sq == pytest.approx(1.0 / r1 ** 2 + 1.0 / r2 ** 2, rel=1e-4)
 
 
 def test_laplacian_invariants_sphere_and_spheroid():

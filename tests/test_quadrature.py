@@ -106,13 +106,14 @@ def test_reparametrization_invariance_torus():
 
 
 def test_node_sequence_protocol():
+    # a node set is its arrays, one row per node
     nodes = M.sample_quadrature(M.sphere(2, 1.0), 6)
     assert len(nodes) == 36
-    first = nodes[0]
-    assert first.w > 0
-    assert np.linalg.norm(first.x) == pytest.approx(1.0, rel=1e-12)
-    assert np.linalg.norm(first.nu) == pytest.approx(1.0, rel=1e-12)
-    assert sum(n.w for n in nodes) == pytest.approx(nodes.total_weight, rel=1e-14)
+    assert nodes.u.shape == (36, 2) and nodes.x.shape == nodes.nu.shape == (36, 3)
+    assert np.all(nodes.w > 0)
+    assert np.linalg.norm(nodes.x, axis=1) == pytest.approx(np.ones(36), rel=1e-12)
+    assert np.linalg.norm(nodes.nu, axis=1) == pytest.approx(np.ones(36), rel=1e-12)
+    assert math.fsum(nodes.w) == pytest.approx(nodes.total_weight, rel=1e-14)
 
 
 def test_polygon_jacobian_is_the_unit_edge_tangent():
