@@ -163,7 +163,7 @@ def cmd_residues(args) -> int:
             lambda o: (res.residue_first(spec, o), res.residue_second(spec, o)),
             order, (-spec.m, -spec.m - 2))
         if spec.m == 4 and spec.codim == 1:
-            r8, r8nu = res.m8_residues(spec, order=max(order, 48))
+            r8, r8nu = res.m8_residues(spec, order=args.order or 48)
             rep.add(-8.0, r8["modified"], "curvature-order3", r8["spread"])
             rep.metadata["r8_raw"] = fmt_float(r8["raw"])
             rep.metadata["r8_nu"] = fmt_float(r8nu["modified"])

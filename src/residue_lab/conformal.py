@@ -8,17 +8,17 @@ z = -8 residues.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._util import NumericError
-from .manifold.frames import CurvatureFrame, curvature_frame
+from .manifold.frames import CurvatureFrame, curvature_frame, node_sum
 from .manifold.quadrature import gauss_on
 from .manifold.shapes import ManifoldSpec
-from .residues import frame_integral, r8_modified_densities
+from .residues import (_ordered_sum, _pairs, _pairs_and_third, frame_integral,
+                       r8_modified_densities)
 
 
 @dataclass
@@ -42,52 +42,38 @@ class EnergyBreakdown:
 # pointwise principal-curvature polynomials
 # ---------------------------------------------------------------------------
 
-def weyl_norm_hyp(kappa) -> float:
-    """|W|^2 of a 4-D hypersurface as a symmetric polynomial in kappa.
+def weyl_norm_hyp(kappa):
+    """|W|^2 of a 4-D hypersurface as a symmetric polynomial in kappa (..., 4).
 
     (4/3) sum_{j<k} k_j^2 k_k^2 - (4/3) sum_{j<k, i != j,k} k_i^2 k_j k_k
     + 8 k1 k2 k3 k4.
     """
     k = np.asarray(kappa, dtype=float)
-    s1 = sum(k[j] ** 2 * k[l] ** 2 for j in range(4) for l in range(j + 1, 4))
-    s2 = sum(k[i] ** 2 * k[j] * k[l] for j in range(4) for l in range(j + 1, 4)
-             for i in range(4) if i != j and i != l)
-    return float(4.0 / 3.0 * s1 - 4.0 / 3.0 * s2 + 8.0 * np.prod(k))
+    j, l = np.triu_indices(4, 1)
+    tj, tl, ti = _pairs_and_third()
+    s1 = _ordered_sum(k[..., j] ** 2 * k[..., l] ** 2)
+    s2 = _ordered_sum(k[..., ti] ** 2 * k[..., tj] * k[..., tl])
+    return 4.0 / 3.0 * s1 - 4.0 / 3.0 * s2 + 8.0 * np.prod(k, axis=-1)
 
 
-def weyl_norm_hyp_product_form(kappa) -> float:
-    """|W|^2 via the alternating product over all permutations; identity check."""
-    k = np.asarray(kappa, dtype=float)
-    total = 0.0
-    for i, j, l, p in itertools.permutations(range(4)):
-        total += (k[i] - k[j]) * (k[j] - k[l]) * (k[l] - k[p]) * (k[p] - k[i])
-    return total / 6.0
-
-
-def chern_density(kappa) -> float:
+def chern_density(kappa):
     """X = 6 k1 k2 k3 k4; integrates to 8 pi^2 chi(M)."""
-    return float(6.0 * np.prod(np.asarray(kappa, dtype=float)))
+    return 6.0 * np.prod(np.asarray(kappa, dtype=float), axis=-1)
 
 
-def q_energy(kappa) -> float:
+def q_energy(kappa):
     """The Moebius-invariant principal curvature density.
 
     q = 3 sum k^4 - 4 sum_{i != j} k_i^3 k_j + 6 sum_{j<k} k_j^2 k_k^2 - 3 |W|^2;
     non-negative, zero exactly on doubled pairs {k, k, k', k'}.
     """
     k = np.asarray(kappa, dtype=float)
-    s4 = float(np.sum(k ** 4))
-    s31 = sum(k[i] ** 3 * k[j] for i in range(4) for j in range(4) if i != j)
-    s22 = sum(k[j] ** 2 * k[l] ** 2 for j in range(4) for l in range(j + 1, 4))
-    return float(3.0 * s4 - 4.0 * s31 + 6.0 * s22 - 3.0 * weyl_norm_hyp(k))
-
-
-def q_energy_product_form(kappa) -> float:
-    k = np.asarray(kappa, dtype=float)
-    total = 0.0
-    for i, j, l, p in itertools.permutations(range(4)):
-        total += (k[i] - k[j]) ** 2 * (k[i] - k[l]) * (k[i] - k[p])
-    return total / 2.0
+    i, j = _pairs()
+    a, b = np.triu_indices(4, 1)
+    s4 = _ordered_sum(k ** 4)
+    s31 = _ordered_sum(k[..., i] ** 3 * k[..., j])
+    s22 = _ordered_sum(k[..., a] ** 2 * k[..., b] ** 2)
+    return 3.0 * s4 - 4.0 * s31 + 6.0 * s22 - 3.0 * weyl_norm_hyp(k)
 
 
 # ---------------------------------------------------------------------------
@@ -122,16 +108,16 @@ def _grad_h_sq_intrinsic(spec: ManifoldSpec, patch_index: int, u: np.ndarray,
     return float(dH @ np.linalg.solve(g, dH))
 
 
-def gw_density(fr: CurvatureFrame) -> float:
+def gw_density(fr: CurvatureFrame):
     """Graham-Witten density (|grad H|^2 - |<h_ij, H>|^2 + (7/16) |H|^4) / 128.
 
     Exact at the graph origin from the graph jets, any codimension:
     grad H from the third derivatives, <h_ij, H> from the second.
     """
     Hv = fr.mean_curvature_vector
-    hH = np.einsum("ijq,q->ij", fr.f2, Hv)
-    return (fr.grad_H_sq() - float(np.sum(hH ** 2))
-            + 7.0 / 16.0 * float(np.sum(Hv ** 2)) ** 2) / 128.0
+    hH = np.einsum("...ijq,...q->...ij", fr.f2, Hv)
+    return (fr.grad_H_sq() - node_sum(hH ** 2, 2)
+            + 7.0 / 16.0 * node_sum(Hv ** 2) ** 2) / 128.0
 
 
 def graham_witten(spec: ManifoldSpec, order: int = 48) -> float:

@@ -2,7 +2,8 @@
 
 A series in m variables truncated at total degree ``deg`` is stored as a
 dense coefficient array of shape (deg+1,)*m indexed by multi-degree; entries
-with total degree above ``deg`` are kept at zero. This is enough to extract
+with total degree above ``deg`` are kept at zero; a stack of series carries
+leading batch axes in front of those. This is enough to extract
 second, third and fourth order graph data of implicitly-defined
 hypersurfaces (quadrics, tori and their Moebius images) without any finite
 differencing.
@@ -24,27 +25,12 @@ GRAPH_RTOL = 1e-12  # graph residual bound, relative to the coefficients of F an
 MAX_COEFFS = 1 << 20
 
 
-def zero(m: int, deg: int) -> np.ndarray:
-    """The zero series; NumericError, before allocating, above ``MAX_COEFFS``."""
+def _shape(m: int, deg: int) -> tuple:
+    """The coefficient shape of one series; NumericError above ``MAX_COEFFS``."""
     if (deg + 1) ** m > MAX_COEFFS:
         raise NumericError(f"a series in {m} variables to degree {deg} has "
                            f"{(deg + 1) ** m:.3g} coefficients, above {MAX_COEFFS}")
-    return np.zeros((deg + 1,) * m)
-
-
-def const(m: int, deg: int, value: float) -> np.ndarray:
-    out = zero(m, deg)
-    out[(0,) * m] = value
-    return out
-
-
-def linear(m: int, deg: int, coeffs) -> np.ndarray:
-    out = zero(m, deg)
-    for i, c in enumerate(coeffs):
-        idx = [0] * m
-        idx[i] = 1
-        out[tuple(idx)] = c
-    return out
+    return (deg + 1,) * m
 
 
 @functools.lru_cache(maxsize=None)
@@ -64,17 +50,32 @@ def _product_table(m: int, deg: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return left, right, out
 
 
-def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Truncated product: one gather and one ordered scatter-add over a pair table."""
-    left, right, dst = _product_table(a.ndim, a.shape[0] - 1)
-    terms = a.ravel()[left] * b.ravel()[right]
-    return np.bincount(dst, weights=terms, minlength=a.size).reshape(a.shape)
+def mul(a: np.ndarray, b: np.ndarray, m: int | None = None) -> np.ndarray:
+    """Truncated product: one gather and one ordered scatter-add over a pair table.
+
+    The last ``m`` axes (default: all) are the series axes; any axes before
+    them are batch axes. Each batch row accumulates its terms in the pair
+    table's order, so a row of a stack equals the product of that row alone.
+    """
+    m = a.ndim if m is None else m
+    deg = a.shape[-1] - 1
+    left, right, dst = _product_table(m, deg)
+    size = (deg + 1) ** m
+    a2, b2 = a.reshape(-1, size), b.reshape(-1, size)
+    terms = a2[:, left] * b2[:, right]
+    flat = (np.arange(len(a2))[:, None] * size + dst).ravel()
+    return np.bincount(flat, weights=terms.ravel(), minlength=a.size).reshape(a.shape)
 
 
-def shift(a: np.ndarray, c: float) -> np.ndarray:
+def _origin(m: int) -> tuple:
+    """Index of the constant term of a series with any leading batch axes."""
+    return (Ellipsis,) + (0,) * m
+
+
+def shift(a: np.ndarray, c: float, m: int | None = None) -> np.ndarray:
     """a + c: a copy with c added to the constant term."""
     out = a.copy()
-    out[(0,) * a.ndim] += c
+    out[_origin(a.ndim if m is None else m)] += c
     return out
 
 
@@ -84,64 +85,99 @@ def shift(a: np.ndarray, c: float) -> np.ndarray:
 POINTS = SimpleNamespace(mul=np.multiply, inverse=np.reciprocal, shift=np.add)
 
 
-def inverse(a: np.ndarray) -> np.ndarray:
-    """1/a for a series with nonzero constant term."""
-    m = a.ndim
-    deg = a.shape[0] - 1
-    a0 = a[(0,) * m]
-    if a0 == 0.0:
+@functools.lru_cache(maxsize=None)
+def batched(m: int) -> SimpleNamespace:
+    """This module's arithmetic on stacks of series in ``m`` variables: the
+    last ``m`` axes are series axes, the ones before them batch axes."""
+    return SimpleNamespace(mul=lambda a, b: mul(a, b, m), inverse=lambda a: inverse(a, m),
+                           shift=lambda a, c: shift(a, c, m))
+
+
+def inverse(a: np.ndarray, m: int | None = None) -> np.ndarray:
+    """1/a for a series with nonzero constant term (per row of a stack)."""
+    m = a.ndim if m is None else m
+    deg = a.shape[-1] - 1
+    origin = _origin(m)
+    a0 = a[origin][(...,) + (None,) * m]
+    if np.any(a0 == 0.0):
         raise ZeroDivisionError("series has no constant term")
     ahat = a / a0
-    ahat[(0,) * m] = 0.0
-    acc = const(m, deg, 1.0)
-    term = const(m, deg, 1.0)
+    ahat[origin] = 0.0
+    acc = np.zeros_like(a)
+    acc[origin] = 1.0
+    term = acc.copy()
     for _ in range(deg):
-        term = mul(term, -ahat)
+        term = mul(term, -ahat, m)
         acc += term
     return acc / a0
 
 
-def derivative_tensor(f: np.ndarray, order: int) -> np.ndarray:
-    """Symmetric tensor of order-``order`` partial derivatives of f at 0."""
-    m = f.ndim
-    shape = (m,) * order
-    out = np.zeros(shape)
-    for idx in np.ndindex(shape):
-        alpha = [0] * m
-        for i in idx:
-            alpha[i] += 1
-        fact = 1.0
-        for a in alpha:
-            fact *= math.factorial(a)
-        out[idx] = f[tuple(alpha)] * fact
-    return out
+@functools.lru_cache(maxsize=None)
+def tensor_exponents(m: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(idx, alpha, alpha!) of the m**order entries of an order-``order``
+    tensor over m directions, in flat order: idx (order, K) the index tuples,
+    alpha (m, K) their monomial exponents (alpha_i = count of i in idx)."""
+    idx = np.indices((m,) * order).reshape(order, -1)
+    alpha = np.stack([np.count_nonzero(idx == i, axis=0) for i in range(m)])
+    fact = np.prod([[math.factorial(k) for k in a] for a in alpha.tolist()], axis=0)
+    return idx, alpha, fact.astype(float)
+
+
+@functools.lru_cache(maxsize=None)
+def _derivative_index(m: int, deg: int, order: int) -> np.ndarray:
+    """Flat series index of the monomial each derivative-tensor entry reads."""
+    alpha = tensor_exponents(m, order)[1]
+    return np.ravel_multi_index(tuple(alpha), (deg + 1,) * m).reshape((m,) * order)
+
+
+def derivative_tensor(f: np.ndarray, order: int, m: int | None = None) -> np.ndarray:
+    """Symmetric tensor of order-``order`` partial derivatives of f at 0,
+    f_alpha alpha!, with f's batch axes (all but the last ``m``, default
+    none) in front."""
+    m = f.ndim if m is None else m
+    flat = _derivative_index(m, f.shape[-1] - 1, order)
+    fact = tensor_exponents(m, order)[2].reshape(flat.shape)
+    return f.reshape(f.shape[:f.ndim - m] + (-1,))[..., flat] * fact
 
 
 def implicit_graph(ring, p: np.ndarray, U: np.ndarray, nu: np.ndarray,
                    deg: int = 4) -> np.ndarray:
     """Graph series of the hypersurface {F = 0} over its tangent plane at p.
 
-    ``ring(X, grad)`` evaluates F on stacked coordinate series X, shape
-    (n,) + (deg+1,)*m; with ``grad`` it returns (F, stacked grad F). Series
-    Newton on F(p + U^T u + f nu) = 0 with the slope <grad F, nu> frozen at
-    f = 0: the first step is exact through degree 3 and each later one
-    gains two degrees, so max(1, deg // 2) steps reach degree ``deg``. The
-    residual after the last step must vanish through degree ``deg``;
+    One point p (n,) with tangent rows U (m, n) and normal nu (n,), or a
+    stack of them, p (N, n), U (N, m, n), nu (N, n), which gives a stack of
+    series whose rows equal the one-point solves. ``ring(X, grad, m)``
+    evaluates F on stacked coordinate series X, shape (n,) + batch +
+    (deg+1,)*m; with ``grad`` it returns (F, stacked grad F). Series Newton
+    on F(p + U^T u + f nu) = 0 with the slope <grad F, nu> frozen at f = 0:
+    the first step is exact through degree 3 and each later one gains two
+    degrees, so max(1, deg // 2) steps reach degree ``deg``. The residual of
+    every point after the last step must vanish through degree ``deg``;
     otherwise NumericError is raised instead of returning an inexact jet.
     """
-    m, n = U.shape
-    X = np.stack([const(m, deg, p[i]) + linear(m, deg, U[:, i]) for i in range(n)])
-    F, grad = ring(X, True)
-    slope = np.tensordot(nu, grad, axes=1)
-    scale = max(float(np.max(np.abs(F))), float(np.max(np.abs(slope))))
-    step = inverse(slope)
-    along = np.asarray(nu, dtype=float).reshape((n,) + (1,) * m)
-    f = zero(m, deg)
+    p, U, nu = (np.asarray(a, dtype=float) for a in (p, U, nu))
+    if p.ndim == 1:
+        return implicit_graph(ring, p[None], U[None], nu[None], deg)[0]
+    N, m, n = U.shape
+    axes = tuple(range(1, m + 1))
+    X = np.zeros((n, N) + _shape(m, deg))
+    X[_origin(m)] = p.T
+    for k in range(m):
+        X[(...,) + tuple(np.eye(m, dtype=int)[k])] = U[:, k, :].T
+    F, grad = ring(X, True, m)
+    # <nu, grad F> per point, rounded as a one-point tensordot
+    slope = (nu[:, None, :] @ np.moveaxis(grad, 0, 1).reshape(N, n, -1)).reshape(F.shape)
+    scale = np.maximum(np.abs(F).max(axis=axes), np.abs(slope).max(axis=axes))
+    step = inverse(slope, m)
+    along = nu.T.reshape((n, N) + (1,) * m)
+    f = np.zeros_like(F)
     for _ in range(max(1, deg // 2)):
-        f = f - mul(F, step)
-        F = ring(X + along * f, False)
-    resid = float(np.max(np.abs(F)))
-    if not resid <= GRAPH_RTOL * scale:
-        raise NumericError(f"series graph solve left residual {resid:.3e} "
-                           f"(tolerance {GRAPH_RTOL:.0e} x {scale:.3e}) at p={p}")
+        f = f - mul(F, step, m)
+        F = ring(X + along * f, False, m)
+    resid = np.abs(F).max(axis=axes)
+    bad = ~(resid <= GRAPH_RTOL * scale)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise NumericError(f"series graph solve left residual {resid[k]:.3e} "
+                           f"(tolerance {GRAPH_RTOL:.0e} x {scale[k]:.3e}) at p={p[k]}")
     return f

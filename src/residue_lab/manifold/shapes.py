@@ -38,14 +38,15 @@ class ImplicitPoly:
     Moebius images, written once as ``poly(X, grad, ar)``: F, or (F, grad F)
     when ``grad`` is set, on stacked coordinates X of shape (n, ...), in the
     arithmetic ``ar`` (``mul``, ``inverse``, ``shift``). ``ring`` runs it on
-    truncated series (the ``series`` module, for ``series.implicit_graph``),
-    the other methods on (N, n) point rows (``series.POINTS``). grad F is the
-    outward (un-normalized) normal field.
+    truncated series in m variables, each X[i] one series or a stack of them
+    (``series.batched``, for ``series.implicit_graph``); the other methods on
+    (N, n) point rows (``series.POINTS``). grad F is the outward
+    (un-normalized) normal field.
     """
     poly: Callable
 
-    def ring(self, X: np.ndarray, grad: bool):
-        return self.poly(X, grad, series)
+    def ring(self, X: np.ndarray, grad: bool, m: int):
+        return self.poly(X, grad, series.batched(m))
 
     def value(self, x: np.ndarray) -> np.ndarray:
         return self.poly(np.ascontiguousarray(np.atleast_2d(x).T), False, series.POINTS)

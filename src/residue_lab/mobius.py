@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import NumericError
-from .manifold.quadrature import patch_jacobian, sample_quadrature
+from .manifold.quadrature import patch_grid, patch_jacobian
+from .manifold.quadrature import sample_quadrature  # noqa: F401  (bench/spans.py wraps it here)
 from .manifold.shapes import ImplicitPoly, ManifoldSpec, Patch, axis_symmetric
 
 GUARD_FRACTION = 1e-2  # minimum distance of samples to an inversion center, x diameter
@@ -178,8 +179,7 @@ def transform_spec(spec: ManifoldSpec, mmap: MobiusMap) -> ManifoldSpec:
     rotation. Its integrals then take one node per rotation orbit.
     """
     surf = spec.surface()
-    nodes = sample_quadrature(surf, 16, with_normals=False)
-    mmap.check_guard(nodes.x)
+    mmap.check_guard(np.concatenate([p.chart(patch_grid(p, 16)[0]) for p in surf.patches]))
     implicit, sign = None, 1.0
     if surf.implicit is not None:
         sign = _orientation(surf.implicit, mmap)
@@ -264,16 +264,3 @@ def invariance_report(spec: ManifoldSpec, mmap: MobiusMap, quantity: str,
     after = _quantity(image, quantity, order)
     return {"before": before, "after": after, "diff": abs(after - before),
             "rel": abs(after - before) / max(abs(before), 1e-300)}
-
-
-def weyl_decomposition_identity(rm_sq: float, ric_sq: float, sc_sq: float) -> float:
-    """Residual of -3|Rm|^2 + 8|Ric|^2 + 5 Sc^2 = -2|W|^2 - 4X + (20/3) Sc^2.
-
-    |W|^2 = |Rm|^2 - 2|Ric|^2 + Sc^2/3 and X = (|Rm|^2 - 4|Ric|^2 + Sc^2)/4;
-    the identity is algebraic, so the residual vanishes for any inputs.
-    """
-    w2 = rm_sq - 2.0 * ric_sq + sc_sq / 3.0
-    x = 0.25 * (rm_sq - 4.0 * ric_sq + sc_sq)
-    lhs = -3.0 * rm_sq + 8.0 * ric_sq + 5.0 * sc_sq
-    rhs = -2.0 * w2 - 4.0 * x + 20.0 / 3.0 * sc_sq
-    return float(lhs - rhs)

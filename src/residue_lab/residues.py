@@ -8,13 +8,14 @@ rate in the quadrature order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._util import NumericError, fmt_float
-from .manifold.frames import CurvatureFrame, curvature_frame
+from .manifold.frames import CurvatureFrame, curvature_frame, node_sum
 from .manifold.quadrature import body_volume, integration_grid
 from .manifold.quadrature import sample_quadrature  # noqa: F401  (bench/spans.py wraps it here)
 from .manifold.shapes import ManifoldSpec
@@ -47,22 +48,45 @@ class ResidueReport:
 # frame iteration
 # ---------------------------------------------------------------------------
 
+# most coefficients of one stacked series in a frame block: 104 rows of an
+# order-4 frame in m = 4, and a bound on the memory of any tensor grid
+BLOCK_COEFFS = 1 << 16
+
+
 def frame_integral(spec: ManifoldSpec, fn, order: int = 32, max_order: int = 2):
     """Integral over the spec (boundary of a body) of a frame functional.
 
-    ``fn`` maps a CurvatureFrame to a number, or to a tuple or 1-D array of
-    numbers; a vector integrand gives the array of its component integrals,
-    each bit-identical to a scalar call with that component alone. Each
-    node of ``integration_grid`` gets one frame, built at ``max_order``: one
-    per rotation orbit on axis-symmetric shapes, one per tensor-grid node
-    otherwise.
+    Each node of ``integration_grid`` gets one frame, built at
+    ``max_order``: one per rotation orbit on axis-symmetric shapes, one per
+    tensor-grid node otherwise. The nodes come in blocks of at most
+    ``BLOCK_COEFFS`` series coefficients, one stacked frame per block.
+    ``fn`` maps a stacked frame to per-node values with the node axis last:
+    (N,) for a scalar integrand, (k, N) or a tuple or list of k (N,) arrays
+    for a vector one; a plain number stands for the same value at every
+    node. A vector integrand gives the array of its component integrals.
+    The weighted values are summed in node order, so each component is
+    bit-identical to a scalar call with that component alone, and the sum
+    does not depend on the block size.
     """
+    rows = max(1, BLOCK_COEFFS // (max(2, max_order) + 1) ** spec.surface().m)
     total = 0.0
     for pi, u, weights in integration_grid(spec, order):
-        for row, w in zip(u, weights):
-            fr = curvature_frame(spec, row, patch_index=pi, max_order=max_order)
-            total = total + w * np.asarray(fn(fr), dtype=float)
+        for lo in range(0, len(u), rows):
+            w = weights[lo:lo + rows]
+            fr = curvature_frame(spec, u[lo:lo + rows], patch_index=pi, max_order=max_order)
+            vals = _node_values(fn(fr), len(w))
+            terms = np.concatenate([np.broadcast_to(total, vals.shape[:-1])[..., None],
+                                    w * vals], axis=-1)
+            total = np.add.accumulate(terms, axis=-1)[..., -1]
     return float(total) if np.ndim(total) == 0 else total
+
+
+def _node_values(out, nodes: int) -> np.ndarray:
+    """An integrand's output as an array (..., nodes)."""
+    if isinstance(out, (tuple, list)):
+        return np.stack([_node_values(v, nodes) for v in out])
+    out = np.asarray(out, dtype=float)
+    return np.broadcast_to(out, (nodes,)) if out.ndim == 0 else out
 
 
 def volume(spec: ManifoldSpec, order: int = 32) -> float:
@@ -89,37 +113,37 @@ def residue_second(spec: ManifoldSpec, order: int = 32) -> float:
                                  order=order, max_order=2)
 
 
-def _f2_sums(frame: CurvatureFrame) -> tuple[float, float, float]:
+def _f2_sums(frame: CurvatureFrame):
     """(sum_i |f_ii|^2, sum_{i != j} <f_ii, f_jj>, sum_{i != j} |f_ij|^2)."""
     f2 = frame.f2
-    diag = np.einsum("iiq->iq", f2)
-    s_ii = float(np.sum(diag ** 2))
-    s_iijj = float(np.sum(np.einsum("iq,jq->ij", diag, diag))) - s_ii
-    s_ij = float(np.sum(f2 ** 2)) - s_ii
+    diag = np.einsum("...iiq->...iq", f2)
+    s_ii = node_sum(diag ** 2, 2)
+    s_iijj = node_sum(np.einsum("...iq,...jq->...ij", diag, diag), 2) - s_ii
+    s_ij = node_sum(f2 ** 2, 3) - s_ii
     return s_ii, s_iijj, s_ij
 
 
-def local_residue_m2(frame: CurvatureFrame) -> float:
+def local_residue_m2(frame: CurvatureFrame):
     """Closed-form local residue at z = -m-2 (constant weight), any codimension."""
     s_ii, s_iijj, s_ij = _f2_sums(frame)
     return sphere_volume(frame.m - 1) / frame.m * (s_ii / 8.0 - s_iijj / 8.0 + s_ij / 4.0)
 
 
-def local_residue_m2_nu(frame: CurvatureFrame) -> float:
+def local_residue_m2_nu(frame: CurvatureFrame):
     """Closed-form nu-weighted local residue at z = -m-2, any codimension."""
     s_ii, s_iijj, s_ij = _f2_sums(frame)
     return sphere_volume(frame.m - 1) / frame.m * (-3.0 * s_ii / 8.0 - s_iijj / 8.0
                                                    - s_ij / 4.0)
 
 
-def scalar_from_residues(frame: CurvatureFrame) -> float:
+def scalar_from_residues(frame: CurvatureFrame):
     """Sc = -(2m / o_{m-1}) (R_nu^loc(-m-2) + 3 R^loc(-m-2))."""
     m = frame.m
     return -(2.0 * m / sphere_volume(m - 1)) * (
         local_residue_m2_nu(frame) + 3.0 * local_residue_m2(frame))
 
 
-def meansq_from_residues(frame: CurvatureFrame) -> float:
+def meansq_from_residues(frame: CurvatureFrame):
     """|H|^2 = -(4m / o_{m-1}) (R_nu^loc(-m-2) + R^loc(-m-2))."""
     m = frame.m
     return -(4.0 * m / sphere_volume(m - 1)) * (
@@ -176,7 +200,7 @@ def relative_residues(body: ManifoldSpec, order: int = 32) -> ResidueReport:
     def at(o):
         area = volume(body, o)
         h_int, cube = frame_integral(
-            body, lambda fr: (fr.H, 4.0 * float(np.sum(fr.kappa ** 3)) - fr.H ** 3),
+            body, lambda fr: (fr.H, 4.0 * node_sum(fr.kappa ** 3) - fr.H ** 3),
             order=o, max_order=2)
         return (sphere_volume(n - 1) / 2.0 * area,
                 sphere_volume(n - 2) / (2.0 * (n - 1)) * h_int,
@@ -186,7 +210,7 @@ def relative_residues(body: ManifoldSpec, order: int = 32) -> ResidueReport:
     return _add_two_orders(rep, at, order, (-n, -n - 1, -n - 3))
 
 
-def relative_difference_density(frame: CurvatureFrame, n: int) -> float:
+def relative_difference_density(frame: CurvatureFrame, n: int):
     """Boundary-local minus local relative residue density at z = -n-3 of an
     n-dimensional body: o_{n-2} / (12 (n^2 - 1)) * Laplacian(H); needs f4."""
     return sphere_volume(n - 2) / (12.0 * (n * n - 1)) * frame.delta_H()
@@ -196,25 +220,49 @@ def relative_difference_density(frame: CurvatureFrame, n: int) -> float:
 # z = -8 residues of 4-dimensional hypersurfaces
 # ---------------------------------------------------------------------------
 
+def _ordered_sum(t: np.ndarray):
+    """Sum over the last axis, adding the terms in index order as a loop over
+    them would; per node of a stack."""
+    return np.add.accumulate(t, axis=-1)[..., -1]
+
+
+def _pairs():
+    """Index arrays (i, j) of the ordered pairs i != j of four directions."""
+    return np.nonzero(~np.eye(4, dtype=bool))
+
+
+def _pairs_and_third():
+    """Index arrays (i, j, l) of four directions with i < j and l not in {i, j}."""
+    return np.array([(i, j, l) for i, j in zip(*np.triu_indices(4, 1))
+                     for l in range(4) if l != i and l != j]).T
+
+
 def _kappa_sums(k: np.ndarray):
-    s_k4 = float(np.sum(k ** 4))
-    s_k2k2 = float(sum(k[i] ** 2 * k[j] ** 2 for i in range(4) for j in range(i + 1, 4)))
-    s_kk3 = float(sum(k[i] * k[j] ** 3 for i in range(4) for j in range(4) if i != j))
-    s_kkk2 = float(sum(k[i] * k[j] * k[l] ** 2 for i in range(4) for j in range(i + 1, 4)
-                       for l in range(4) if l != i and l != j))
-    prod4 = float(np.prod(k))
+    """Symmetric kappa sums of a 4-D hypersurface, per node of k (..., 4)."""
+    i, j = np.triu_indices(4, 1)
+    p, q = _pairs()
+    ti, tj, tl = _pairs_and_third()
+    s_k4 = _ordered_sum(k ** 4)
+    s_k2k2 = _ordered_sum(k[..., i] ** 2 * k[..., j] ** 2)
+    s_kk3 = _ordered_sum(k[..., p] * k[..., q] ** 3)
+    s_kkk2 = _ordered_sum(k[..., ti] * k[..., tj] * k[..., tl] ** 2)
+    prod4 = np.prod(k, axis=-1)
     return s_k4, s_k2k2, s_kk3, s_kkk2, prod4
 
 
 def _c_sums(fr: CurvatureFrame):
-    c = fr.c_mono
-    s_ciii2 = sum(c(i, i, i) ** 2 for i in range(4))
-    s_ciij2 = sum(c(i, i, j) ** 2 for i in range(4) for j in range(4) if i != j)
-    s_cijk2 = sum(c(i, j, k) ** 2 for i in range(4) for j in range(i + 1, 4)
-                  for k in range(j + 1, 4))
-    s_ciik_cjjk = sum(c(i, i, k) * c(j, j, k) for i in range(4) for j in range(i + 1, 4)
-                      for k in range(4) if k != i and k != j)
-    s_ciii_cijj = sum(c(i, i, i) * c(i, j, j) for i in range(4) for j in range(4) if i != j)
+    """Sums of products of the cubic coefficients c of a 4-D hypersurface, per node."""
+    c = fr.c
+    r = np.arange(4)
+    p, q = _pairs()
+    i, j, k = np.array(list(itertools.combinations(range(4), 3))).T
+    a, b, e = _pairs_and_third()
+    diag = c[..., r, r, r]
+    s_ciii2 = _ordered_sum(diag ** 2)
+    s_ciij2 = _ordered_sum(c[..., p, p, q] ** 2)
+    s_cijk2 = _ordered_sum(c[..., i, j, k] ** 2)
+    s_ciik_cjjk = _ordered_sum(c[..., a, a, e] * c[..., b, b, e])
+    s_ciii_cijj = _ordered_sum(diag[..., p] * c[..., p, q, q])
     return s_ciii2, s_ciij2, s_cijk2, s_ciik_cjjk, s_ciii_cijj
 
 
@@ -223,7 +271,7 @@ def _r8_sums(fr: CurvatureFrame):
     return _kappa_sums(fr.kappa), _c_sums(fr)
 
 
-def _r8_kc(ks, cs) -> float:
+def _r8_kc(ks, cs):
     """The kappa/c polynomial of the raw local residue at z = -8, before pi^2/1536."""
     s_k4, s_k2k2, s_kk3, s_kkk2, prod4 = ks
     s_ciii2, s_ciij2, s_cijk2, _, _ = cs
@@ -231,7 +279,7 @@ def _r8_kc(ks, cs) -> float:
             + 768.0 * s_ciii2 + 256.0 * s_ciij2 + 128.0 * s_cijk2)
 
 
-def _r8_nu_kc(ks, cs) -> float:
+def _r8_nu_kc(ks, cs):
     """The kappa/c polynomial of the raw nu-weighted local residue at z = -8."""
     s_k4, s_k2k2, s_kk3, s_kkk2, prod4 = ks
     s_ciii2, s_ciij2, s_cijk2, s_ciik_cjjk, s_ciii_cijj = cs
@@ -240,20 +288,20 @@ def _r8_nu_kc(ks, cs) -> float:
             - 128.0 * s_ciik_cjjk - 384.0 * s_ciii_cijj)
 
 
-def _d_sums(fr: CurvatureFrame, h: float) -> tuple[float, float]:
+def _d_sums(fr: CurvatureFrame, h):
     """Fourth-order sums of the raw -8 integrands; h is -H (weight one) or +H (nu)."""
-    k = fr.kappa
-    d = fr.d_mono
-    s_d1 = sum((4.0 * k[i] + h) * d(i, i, i, i) for i in range(4))
-    s_d2 = sum((2.0 * k[i] + 2.0 * k[j] + h) * d(i, i, j, j)
-               for i in range(4) for j in range(i + 1, 4))
+    k, d, h = fr.kappa, fr.d, np.asarray(h)[..., None]
+    r = np.arange(4)
+    i, j = np.triu_indices(4, 1)
+    s_d1 = _ordered_sum((4.0 * k + h) * d[..., r, r, r, r])
+    s_d2 = _ordered_sum((2.0 * k[..., i] + 2.0 * k[..., j] + h) * d[..., i, i, j, j])
     return s_d1, s_d2
 
 
-def _r8_raw_pair(fr: CurvatureFrame, ks, cs) -> tuple[float, float]:
+def _r8_raw_pair(fr: CurvatureFrame, ks, cs):
     """(weight one, nu) local residues at z = -8, full formulas with the
     fourth-order terms (m = 4), from the frame's ``_r8_sums``."""
-    H = float(fr.kappa.sum())
+    H = _ordered_sum(fr.kappa)
     s_d1, s_d2 = _d_sums(fr, -H)
     nu_d1, nu_d2 = _d_sums(fr, H)
     return ((_r8_kc(ks, cs) + 192.0 * s_d1 + 64.0 * s_d2) * math.pi ** 2 / 1536.0,
@@ -267,14 +315,15 @@ def _delta_pieces_order3(fr: CurvatureFrame, ks, cs):
     raw local residues in the modified combinations below.
     """
     k = fr.kappa
-    H = float(k.sum())
+    H = _ordered_sum(k)
     _, _, s_kk3, s_kkk2, _ = ks
     _, _, s_cijk2, s_ciik_cjjk, s_ciii_cijj = cs
-    c = fr.c_mono
-    s_cijj2 = sum(c(i, j, j) ** 2 for i in range(4) for j in range(4) if i != j)
-    grad_h_sq = 4.0 * sum(
-        (2.0 * c(i, i, i) + sum(c(i, j, j) for j in range(4))) ** 2 for i in range(4))
-    delta_h_kc = -2.0 * float(np.sum(k ** 3)) - H * float(np.sum(k ** 2))
+    c = fr.c
+    r = np.arange(4)
+    p, q = _pairs()
+    s_cijj2 = _ordered_sum(c[..., p, q, q] ** 2)
+    grad_h_sq = 4.0 * _ordered_sum((2.0 * c[..., r, r, r] + np.einsum("...ijj->...i", c)) ** 2)
+    delta_h_kc = -2.0 * _ordered_sum(k ** 3) - H * _ordered_sum(k ** 2)
     delta_hsq_kc = 2.0 * H * delta_h_kc + 2.0 * grad_h_sq
     delta_sc_kc = (-8.0 * s_kk3 - 4.0 * s_kkk2
                    + 48.0 * s_ciii_cijj + 16.0 * s_ciik_cjjk
@@ -282,7 +331,7 @@ def _delta_pieces_order3(fr: CurvatureFrame, ks, cs):
     return delta_hsq_kc, delta_sc_kc
 
 
-def _r8_modified_pair(fr: CurvatureFrame, ks, cs) -> tuple[float, float]:
+def _r8_modified_pair(fr: CurvatureFrame, ks, cs):
     """(weight one, nu) order-3 integrands for the -8 residues: raw kappa/c
     parts with the d-terms traded for the Laplacian corrections (which drop
     the d's), from the frame's ``_r8_sums``."""
@@ -293,27 +342,27 @@ def _r8_modified_pair(fr: CurvatureFrame, ks, cs) -> tuple[float, float]:
             + math.pi ** 2 / 384.0 * (5.0 * dhsq - 4.0 * dsc))
 
 
-def r8_modified_densities(fr: CurvatureFrame) -> tuple[float, float]:
+def r8_modified_densities(fr: CurvatureFrame):
     """(R(-8), R_nu(-8)) order-3 local densities from one pass of the sums."""
     return _r8_modified_pair(fr, *_r8_sums(fr))
 
 
-def local_r8_raw(fr: CurvatureFrame) -> float:
+def local_r8_raw(fr: CurvatureFrame):
     """Local residue at z = -8, full formula with fourth-order terms (m = 4)."""
     return _r8_raw_pair(fr, *_r8_sums(fr))[0]
 
 
-def local_r8_nu_raw(fr: CurvatureFrame) -> float:
+def local_r8_nu_raw(fr: CurvatureFrame):
     """nu-weighted local residue at z = -8, full formula (m = 4)."""
     return _r8_raw_pair(fr, *_r8_sums(fr))[1]
 
 
-def local_r8_modified(fr: CurvatureFrame) -> float:
+def local_r8_modified(fr: CurvatureFrame):
     """Order-3 integrand for the -8 residue (see ``_r8_modified_pair``)."""
     return r8_modified_densities(fr)[0]
 
 
-def local_r8_nu_modified(fr: CurvatureFrame) -> float:
+def local_r8_nu_modified(fr: CurvatureFrame):
     return r8_modified_densities(fr)[1]
 
 
@@ -355,10 +404,11 @@ def nu_residue_m8(spec: ManifoldSpec, order: int = 48) -> dict:
 # ---------------------------------------------------------------------------
 
 def _elementary_symmetric(kappa: np.ndarray) -> np.ndarray:
-    m = len(kappa)
-    e = np.zeros(m + 1)
+    """e_0 .. e_m of kappa (..., m), with the node axes last: (m + 1, ...)."""
+    m = kappa.shape[-1]
+    e = np.zeros((m + 1,) + kappa.shape[:-1])
     e[0] = 1.0
-    for x in kappa:
+    for x in np.moveaxis(kappa, -1, 0):
         e[1:] = e[1:] + x * e[:-1].copy()
     return e
 

@@ -442,3 +442,17 @@ def test_round_shape_beta_output_is_unchanged(name, capsys):
     code, out = run_cli(["--cmd", "beta", "--shape", _ROUND_SHAPES[name],
                          "--z", "1,0,-0.5,-1.5,-2.5,-1,-2,-3,-4"], capsys)
     assert code == 0 and out == _ROUND_BETA[name]
+
+
+def test_residues_order_flag_reaches_the_z_minus_8_row(capsys):
+    # a generic 4-D ellipsoid takes the tensor grid: at --order 4 the z = -8
+    # row integrates 4^4 frames, not 48^4
+    import time
+    t0 = time.perf_counter()
+    code, out = run_cli(["--cmd", "residues", "--order", "4", "--shape",
+                         '{"kind": "ellipsoid", "params": {"semiaxes": [1, 1.2, 0.9, 1.1, 1.3]}}'],
+                        capsys)
+    assert code == 0 and time.perf_counter() - t0 < 30.0
+    rows = [ln.split() for ln in out.splitlines() if ln.startswith("residue ")]
+    assert [r[1] for r in rows] == ["-4", "-6", "-8"]
+    assert all(math.isfinite(float(r[2])) and math.isfinite(float(r[4])) for r in rows)

@@ -5,10 +5,10 @@ import pytest
 
 import residue_lab.manifold as M
 from residue_lab.manifold.frames import (curvature_frame, laplacian_invariants,
-                                         nu_weight, oriented_tangent_frame,
-                                         reach_estimate)
+                                         nu_weight, reach_estimate)
 from residue_lab._util import NumericError
 from residue_lab.manifold.probe import GraphProbe
+from residue_lab.manifold.quadrature import patch_jacobian
 from residue_lab.residues import frame_integral
 
 
@@ -227,11 +227,27 @@ def test_reach_estimates():
     assert reach_estimate(M.circle(2.0)) == pytest.approx(2.0, rel=1e-6)
 
 
+def _oriented_tangent_frame(spec, patch, u) -> np.ndarray:
+    """Continuously oriented orthonormal tangent basis from the chart Jacobian."""
+    u = np.asarray(u, dtype=float).reshape(1, -1)
+    J = patch_jacobian(patch, u)[0]
+    E = []
+    for k in range(spec.surface().m):
+        v = J[:, k].copy()
+        for e in E:
+            v -= np.dot(v, e) * e
+        nv = np.linalg.norm(v)
+        if nv < 1e-12:
+            raise NumericError(f"rank-deficient frame at u={u}")
+        E.append(v / nv)
+    return np.stack(E, axis=0)
+
+
 def test_oriented_tangent_frame_continuity():
     tor = M.torus(2.0, 1.0)
     patch = tor.patches[0]
-    E1 = oriented_tangent_frame(tor, patch, [0.5, 1.0])
-    E2 = oriented_tangent_frame(tor, patch, [0.5 + 1e-4, 1.0])
+    E1 = _oriented_tangent_frame(tor, patch, [0.5, 1.0])
+    E2 = _oriented_tangent_frame(tor, patch, [0.5 + 1e-4, 1.0])
     assert np.max(np.abs(E1 - E2)) < 1e-3
 
 
@@ -307,11 +323,43 @@ def test_series_graph_solve_checks_its_residual():
     assert f[2, 2] == pytest.approx(-0.25, abs=1e-15)
     assert f[4, 0] == pytest.approx(-0.125, abs=1e-15)
 
-    def wrong_slope(X, grad):
+    def wrong_slope(X, grad, m):
         if not grad:
-            return ring(X, False)
-        F, g = ring(X, True)
+            return ring(X, False, m)
+        F, g = ring(X, True, m)
         return F, 0.5 * g
 
     with pytest.raises(NumericError):
         series.implicit_graph(wrong_slope, p, U, p, 4)
+
+
+def _torus_image():
+    from residue_lab import mobius as MB
+    return MB.transform_spec(M.torus(2.0, 1.0),
+                             MB.MobiusMap((MB.Inversion(center=(0.0, 0.0, 3.0)),)))
+
+
+@pytest.mark.parametrize("spec, max_order", [
+    (M.torus(2.0, 1.0), 2), (M.torus(2.0, 1.0), 3), (M.torus(2.0, 1.0), 4),
+    (M.spheroid(1.7), 2), (M.spheroid(1.7), 3), (M.spheroid(1.7), 4),
+    (M.ellipsoid((1.0, 1.3, 0.8)), 4), (_torus_image(), 4), (M.ellipse(1.0, 0.6), 4),
+    (M.sphere(4, 1.0), 4), (M.clifford_torus(1.0, 1.0), 4)],
+    ids=["torus-2", "torus-3", "torus-4", "spheroid-2", "spheroid-3", "spheroid-4",
+         "ellipsoid", "torus-image", "ellipse", "sphere4", "clifford-probe"])
+def test_stacked_frame_equals_its_one_row_frames(spec, max_order):
+    # sphere(4) has four equal kappa, so its tangent rows rest on the tie-break
+    box = spec.surface().patches[0].box
+    rng = np.random.default_rng(18)
+    u = np.stack([rng.uniform(a + 0.05, b - 0.05, 9) for a, b in box], axis=1)
+    stacked = curvature_frame(spec, u, max_order=max_order)
+    ones = [curvature_frame(spec, row, max_order=max_order) for row in u]
+    for name in ("x", "tangent", "normal_basis", "f2", "f3", "f4", "kappa"):
+        got = getattr(stacked, name)
+        if getattr(ones[0], name) is None:
+            assert got is None
+            continue
+        want = np.stack([getattr(fr, name) for fr in ones])
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), name
+    assert np.array_equal(stacked.H, [fr.H for fr in ones])
+    assert np.array_equal(stacked.hs_norm_sq, [fr.hs_norm_sq for fr in ones])

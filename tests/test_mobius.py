@@ -59,11 +59,24 @@ def test_guard_ball_violation():
         MB.transform_spec(circ, mp)
 
 
+def _weyl_decomposition_identity(rm_sq: float, ric_sq: float, sc_sq: float) -> float:
+    """Residual of -3|Rm|^2 + 8|Ric|^2 + 5 Sc^2 = -2|W|^2 - 4X + (20/3) Sc^2.
+
+    |W|^2 = |Rm|^2 - 2|Ric|^2 + Sc^2/3 and X = (|Rm|^2 - 4|Ric|^2 + Sc^2)/4;
+    the identity is algebraic, so the residual vanishes for any inputs.
+    """
+    w2 = rm_sq - 2.0 * ric_sq + sc_sq / 3.0
+    x = 0.25 * (rm_sq - 4.0 * ric_sq + sc_sq)
+    lhs = -3.0 * rm_sq + 8.0 * ric_sq + 5.0 * sc_sq
+    rhs = -2.0 * w2 - 4.0 * x + 20.0 / 3.0 * sc_sq
+    return float(lhs - rhs)
+
+
 def test_weyl_decomposition_identity_random():
     rng = np.random.default_rng(4)
     for _ in range(20):
         rm, ric, sc = np.abs(rng.normal(size=3)) * 5
-        assert abs(MB.weyl_decomposition_identity(rm, ric, sc)) < 1e-12
+        assert abs(_weyl_decomposition_identity(rm, ric, sc)) < 1e-12
 
 
 def test_knot_value_invariance_ellipse():
@@ -251,17 +264,30 @@ def test_sphere_image_profile_through_the_caps(monkeypatch):
     ids=["torus", "ellipsoid", "torus-image"])
 def test_pointwise_implicit_matches_the_ring(spec):
     # the constant and linear terms of F(p + u) on series are F(p) and grad F(p)
-    from residue_lab.manifold import series
     u = np.array([[0.3, 1.1], [2.0, 4.0], [1.2, 0.5]])
     x = spec.patches[0].chart(u) + 0.05
     F, g = spec.implicit.value_and_gradient(x)
     assert np.array_equal(spec.implicit.value(x), F)
     for p, Fp, gp in zip(x, F, g):
-        X = np.stack([series.const(3, 1, c) + series.linear(3, 1, e)
-                      for c, e in zip(p, np.eye(3))])
-        ring_F, ring_g = spec.implicit.ring(X, True)
+        X = np.zeros((3, 2, 2, 2))
+        X[:, 0, 0, 0] = p
+        X[0, 1, 0, 0] = X[1, 0, 1, 0] = X[2, 0, 0, 1] = 1.0
+        ring_F, ring_g = spec.implicit.ring(X, True, 3)
         scale = np.max(np.abs(gp))
         assert abs(ring_F[0, 0, 0] - Fp) <= 1e-13 * scale
         assert np.max(np.abs([ring_F[1, 0, 0], ring_F[0, 1, 0], ring_F[0, 0, 1]] - gp)) \
             <= 1e-13 * scale
         assert np.max(np.abs(ring_g[:, 0, 0, 0] - gp)) <= 1e-13 * scale
+
+
+def test_the_guard_reads_the_chart_points_of_the_grid():
+    # an inversion center on a node of the order-16 patch grid raises; a far
+    # center does not
+    from residue_lab.manifold.quadrature import patch_grid
+    tor = M.torus(2.0, 1.0)
+    patch = tor.patches[0]
+    node = patch.chart(patch_grid(patch, 16)[0])[37]
+    with pytest.raises(NumericError):
+        MB.transform_spec(tor, MB.MobiusMap((MB.Inversion(center=tuple(node)),)))
+    image = MB.transform_spec(tor, MB.MobiusMap((MB.Inversion(center=(0.0, 0.0, 3.0)),)))
+    assert image.implicit is not None

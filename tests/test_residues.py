@@ -22,7 +22,7 @@ def test_residue_first_examples():
 def _residue_second_surface_form(spec, order):
     """(pi/8) int (kappa_1 - kappa_2)^2 for closed surfaces in R^3; equals residue_second."""
     return (math.pi / 8.0) * R.frame_integral(
-        spec, lambda fr: float((fr.kappa[0] - fr.kappa[1]) ** 2), order=order, max_order=2)
+        spec, lambda fr: (fr.kappa[..., 0] - fr.kappa[..., 1]) ** 2, order=order, max_order=2)
 
 
 def _body_residue_n3_crosscheck(body, order):
@@ -106,11 +106,16 @@ def test_m8_requires_four_dim():
             fn(M.sphere(2, 1.0))
 
 
+def _rows(u) -> int:
+    """Parameter rows in a curvature_frame call: one row or a stack."""
+    return len(np.atleast_2d(u))
+
+
 def test_m8_residues_share_one_frame_pass(monkeypatch):
     built = []
 
     def counting_frame(*args, **kw):
-        built.append(kw["max_order"])
+        built.extend([kw["max_order"]] * _rows(args[1]))
         return curvature_frame(*args, **kw)
 
     monkeypatch.setattr(R, "curvature_frame", counting_frame)
@@ -130,9 +135,9 @@ def test_m8_residues_share_one_frame_pass(monkeypatch):
 
 def test_r8_sums_are_formed_once_per_frame(monkeypatch):
     # energy_breakdown and m8_residues share the kappa and c sums of a frame
-    # among all their z = -8 integrands
+    # block among all their z = -8 integrands
     from residue_lab import conformal
-    counts = {"frames": 0, "kappa": 0, "c": 0}
+    counts = {"blocks": 0, "rows": 0, "kappa": 0, "c": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kw):
@@ -140,13 +145,17 @@ def test_r8_sums_are_formed_once_per_frame(monkeypatch):
             return fn(*args, **kw)
         return wrapper
 
-    monkeypatch.setattr(R, "curvature_frame", counting("frames", curvature_frame))
+    def counting_frame(*args, **kw):
+        counts["rows"] += _rows(args[1])
+        return counting("blocks", curvature_frame)(*args, **kw)
+
+    monkeypatch.setattr(R, "curvature_frame", counting_frame)
     monkeypatch.setattr(R, "_kappa_sums", counting("kappa", R._kappa_sums))
     monkeypatch.setattr(R, "_c_sums", counting("c", R._c_sums))
     conformal.energy_breakdown(M.spheroid(1.7), order=8)
     R.m8_residues(M.spheroid(1.7), order=8)
-    assert counts["frames"] == 16
-    assert counts["kappa"] == counts["c"] == counts["frames"]
+    assert counts["rows"] == 16
+    assert counts["kappa"] == counts["c"] == counts["blocks"] == 2
 
 
 def test_clifford_residues_from_the_exact_chart_jacobian():
@@ -258,7 +267,7 @@ def _counting_frames(monkeypatch):
     built = []
 
     def counting_frame(*args, **kw):
-        built.append(1)
+        built.extend([1] * _rows(args[1]))
         return curvature_frame(*args, **kw)
 
     monkeypatch.setattr(R, "curvature_frame", counting_frame)
@@ -292,3 +301,110 @@ def test_residue_second_of_the_five_sphere():
     # 16 orbit rows integrate sin^4 to rounding (12 leave 4.8e-13)
     want = sphere_volume(4) / 40.0 * (10.0 - 25.0) * sphere_volume(5)
     assert R.residue_second(M.sphere(5, 1.0), order=16) == pytest.approx(want, rel=1e-13)
+
+
+# Per-node loops of the z = -8 and conformal sums, the references for their
+# array forms.
+
+def _loop_kappa_sums(k):
+    s_k2k2 = sum(k[i] ** 2 * k[j] ** 2 for i in range(4) for j in range(i + 1, 4))
+    s_kk3 = sum(k[i] * k[j] ** 3 for i in range(4) for j in range(4) if i != j)
+    s_kkk2 = sum(k[i] * k[j] * k[l] ** 2 for i in range(4) for j in range(i + 1, 4)
+                 for l in range(4) if l != i and l != j)
+    return sum(k ** 4), s_k2k2, s_kk3, s_kkk2, np.prod(k)
+
+
+def _loop_c_sums(fr):
+    c = fr.c_mono
+    return (sum(c(i, i, i) ** 2 for i in range(4)),
+            sum(c(i, i, j) ** 2 for i in range(4) for j in range(4) if i != j),
+            sum(c(i, j, k) ** 2 for i in range(4) for j in range(i + 1, 4)
+                for k in range(j + 1, 4)),
+            sum(c(i, i, k) * c(j, j, k) for i in range(4) for j in range(i + 1, 4)
+                for k in range(4) if k != i and k != j),
+            sum(c(i, i, i) * c(i, j, j) for i in range(4) for j in range(4) if i != j))
+
+
+def _loop_d_sums(fr, h):
+    k, d = fr.kappa, fr.d_mono
+    return (sum((4.0 * k[i] + h) * d(i, i, i, i) for i in range(4)),
+            sum((2.0 * k[i] + 2.0 * k[j] + h) * d(i, i, j, j)
+                for i in range(4) for j in range(i + 1, 4)))
+
+
+def _loop_weyl(k):
+    s1 = sum(k[j] ** 2 * k[l] ** 2 for j in range(4) for l in range(j + 1, 4))
+    s2 = sum(k[i] ** 2 * k[j] * k[l] for j in range(4) for l in range(j + 1, 4)
+             for i in range(4) if i != j and i != l)
+    return 4.0 / 3.0 * s1 - 4.0 / 3.0 * s2 + 8.0 * np.prod(k)
+
+
+def _loop_q(k):
+    s31 = sum(k[i] ** 3 * k[j] for i in range(4) for j in range(4) if i != j)
+    s22 = sum(k[j] ** 2 * k[l] ** 2 for j in range(4) for l in range(j + 1, 4))
+    return 3.0 * sum(k ** 4) - 4.0 * s31 + 6.0 * s22 - 3.0 * _loop_weyl(k)
+
+
+def _loop_elementary(k):
+    e = [1.0] + [0.0] * len(k)
+    for x in k:
+        e = [e[0]] + [e[i] + x * e[i - 1] for i in range(1, len(e))]
+    return e
+
+
+@pytest.mark.parametrize("spec", [M.spheroid(1.7), M.ellipsoid((1.0, 1.2, 0.9, 1.1, 1.3))],
+                         ids=["spheroid", "ellipsoid"])
+def test_array_integrands_match_one_row_frames(spec):
+    from residue_lab import conformal as CF
+    rng = np.random.default_rng(5)
+    u = np.stack([rng.uniform(a + 0.05, b - 0.05, 12) for a, b in spec.patches[0].box], axis=1)
+    stacked = curvature_frame(spec, u, max_order=4)
+    ones = [curvature_frame(spec, row, max_order=4) for row in u]
+    kappa4 = float(np.max(np.abs(stacked.kappa))) ** 4
+    # |W|^2 and q cancel terms whose absolute values add up to < 200 kappa^4
+    quartic = 200.0 * kappa4
+    checks = {  # name: (array integrand, one-row reference, scale floor)
+        "kappa_sums": (lambda f: R._kappa_sums(f.kappa), lambda f: _loop_kappa_sums(f.kappa),
+                       kappa4),
+        "c_sums": (R._c_sums, _loop_c_sums, 0.0),
+        "d_sums": (lambda f: R._d_sums(f, -f.H), lambda f: _loop_d_sums(f, -f.H), 0.0),
+        "weyl": (lambda f: CF.weyl_norm_hyp(f.kappa), lambda f: _loop_weyl(f.kappa), quartic),
+        "q": (lambda f: CF.q_energy(f.kappa), lambda f: _loop_q(f.kappa), quartic),
+        "chern": (lambda f: CF.chern_density(f.kappa), lambda f: 6.0 * np.prod(f.kappa), 0.0),
+        "esym": (lambda f: R._elementary_symmetric(f.kappa), lambda f: _loop_elementary(f.kappa),
+                 kappa4),
+        "m2": (lambda f: (R.local_residue_m2(f), R.local_residue_m2_nu(f)),) * 2 + (0.0,),
+        "m8": (R._m8_integrands, R._m8_integrands, 0.0),
+        "energy": (CF._energy_densities, CF._energy_densities, 0.0),
+        "laplacians": ((lambda f: (f.delta_sc(), f.delta_mean_sq(), f.delta_H(), f.grad_H_sq())),)
+        * 2 + (0.0,),
+    }
+    for name, (array_fn, one_fn, floor) in checks.items():
+        got = np.asarray(R._node_values(array_fn(stacked), len(u)))
+        want = np.stack([np.asarray(one_fn(fr), dtype=float) for fr in ones], axis=-1)
+        assert got.shape == want.shape, name
+        scale = np.maximum(np.max(np.abs(want), axis=-1, keepdims=True), floor)
+        assert np.all(np.abs(got - want) <= 1e-14 * scale), name
+
+
+@pytest.mark.parametrize("fn, max_order, spec, order, grid", [
+    (R._m8_integrands, 4, M.spheroid(1.7), 24, False),
+    (R._m8_integrands, 4, M.spheroid(1.7), 3, True),
+    (lambda fr: fr.H, 2, M.spheroid(1.7), 24, False),
+    (lambda fr: fr.H, 2, M.torus(2.0, 1.0), 12, True)],
+    ids=["m8-orbits", "m8-grid", "H-orbits", "H-torus-grid"])
+def test_frame_integral_does_not_depend_on_the_block_split(fn, max_order, spec, order, grid,
+                                                           monkeypatch):
+    if grid:
+        _tensor_grid(monkeypatch)
+    whole = R.frame_integral(spec, fn, order=order, max_order=max_order)
+    nodes = sum(len(u) for _, u, _ in Q.integration_grid(spec, order))
+    # blocks of about half the nodes: the first block ends mid-grid
+    per_row = (max(2, max_order) + 1) ** spec.m
+    monkeypatch.setattr(R, "BLOCK_COEFFS", per_row * ((nodes + 1) // 2))
+    calls = []
+    monkeypatch.setattr(R, "curvature_frame",
+                        lambda *a, **kw: calls.append(1) or curvature_frame(*a, **kw))
+    split = R.frame_integral(spec, fn, order=order, max_order=max_order)
+    assert len(calls) == 2
+    assert np.all(np.abs(split - whole) <= 1e-15 * np.abs(whole))
