@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from ._util import ConfigError, NumericError, chunked_map_reduce, fmt_float
 from .manifold.frames import reach_estimate
@@ -528,96 +527,28 @@ def _near_masses(spec, weight, delta, t_grid, order_sub, n_ang):
 
     Cap masses and pair weights are invariant under isometries, so the outer
     nodes are those of ``integration_grid``: one per rotation orbit on an
-    axis-symmetric shape. Hypersurfaces with an implicit solve their caps in
-    blocks of as many nodes as fit in ``_CAP_POINTS`` radial points, one
-    ``_cap_masses_implicit`` call per block.
+    axis-symmetric shape. The caps solve in blocks of as many nodes as fit
+    in ``_CAP_POINTS`` radial points: through the tangent graph chart with
+    an implicit hypersurface (``_cap_masses_implicit``), along parameter
+    rays otherwise (``_cap_masses_rays``).
     """
     surf = spec.surface()
-    m = surf.m
-    dirs, dirw = _direction_set(m, n_ang)
+    dirs, dirw = _direction_set(surf.m, n_ang)
     gx, gw = gauss_rule(12)
-    gx = 0.5 * (gx + 1.0)
-    gw = 0.5 * gw
-    nbin = len(t_grid)
-    masses = np.zeros(nbin)
-    tmax = float(t_grid[-1])
+    args = (weight, t_grid, dirs, dirw, 0.5 * (gx + 1.0), 0.5 * gw)
+    masses = np.zeros(len(t_grid))
     use_implicit = surf.implicit is not None and surf.codim == 1
-    block = max(1, _CAP_POINTS // (len(dirs) * nbin * len(gx)))
+    block = max(1, _CAP_POINTS // (len(dirs) * len(t_grid) * len(gx)))
     for pi, u0s, wq in integration_grid(surf, order_sub):
         patch = surf.patches[pi]
-        if use_implicit:
-            x0s = patch.chart(u0s)
-            for s in range(0, len(x0s), block):
-                caps = _cap_masses_implicit(surf, x0s[s:s + block], weight, t_grid,
-                                            dirs, dirw, gx, gw)
-                for wx, cap in zip(wq[s:s + block], caps):
-                    masses += wx * cap
-            continue
-        for u0, wx in zip(u0s, wq):
-            x0 = patch.chart(u0[None, :])[0]
-            nu0 = (patch.normal(u0[None, :])
-                   if (_needs_normals(weight) and patch.normal is not None) else None)
-            J = patch_jacobian(patch, u0[None, :])[0]
-            sig = np.linalg.norm(J @ dirs.T, axis=0)  # metric stretch per direction
-            rho0 = tmax / np.maximum(sig, 1e-12)
-            try:
-                rho_star = _cross_radii(patch, u0, x0, dirs, rho0, t_grid)
-            except _RayWrapError:
-                raise ReachError(
-                    "a parameter ray wraps a short chart fiber before reaching "
-                    "delta; reduce delta or supply an implicit description")
-            # radial integrals of sqrt(g) * lambda * rho^(m-1) on [0, rho*],
-            # all (direction, t) pairs in one batch
-            rr = rho_star[:, :, None] * gx[None, None, :]        # (nd, nt, ng)
-            flat = (u0[None, :] + rr.reshape(-1, 1) * np.repeat(
-                dirs, nbin * len(gx), axis=0))
-            sgv = volume_element(patch, flat).reshape(rr.shape)
-            lam = 1.0
-            if weight is not WeightKind.ONE:
-                y = patch.chart(flat)
-                nuy = patch.normal(flat) if patch.normal is not None else None
-                lam = _pair_weight(weight, x0[None, :], nu0, y, nuy).reshape(rr.shape)
-            integ = (sgv * lam * rr ** (m - 1)) @ gw             # (nd, nt)
-            masses += wx * (dirw @ (integ * rho_star))
+        for s in range(0, len(u0s), block):
+            u0 = u0s[s:s + block]
+            caps = (_cap_masses_implicit(surf, patch.chart(u0), *args) if use_implicit
+                    else _cap_masses_rays(surf, patch, u0, *args))
+            for wx, cap in zip(wq[s:s + block], caps):
+                masses += wx * cap
     # cumulative caps -> per-bin masses
     return np.diff(np.concatenate([[0.0], masses]))
-
-
-class _RayWrapError(NumericError):
-    pass
-
-
-def _cross_radii(patch, u0, x0, dirs, rho0, t_grid):
-    """rho*(direction, t): radius where |chart(u0 + rho dir) - x0| = t.
-
-    Monotone in rho inside the reach; bracket by doubling, then bisect.
-    """
-    nd = len(dirs)
-    nt = len(t_grid)
-    tmax = float(t_grid[-1])
-    hi = rho0.copy()
-    for _ in range(60):
-        d = _chord(patch, u0, x0, dirs, hi)
-        need = d < tmax
-        if not np.any(need):
-            break
-        hi[need] *= 1.6
-    else:
-        # a parameter ray that wraps a short fiber (polar charts) never
-        # reaches tmax; the caller falls back to the tangent-space probe
-        raise _RayWrapError()
-    # all (direction, t) roots in one vector bisection
-    lo = np.zeros((nd, nt))
-    h = np.repeat(hi[:, None], nt, axis=1)
-    tt = np.broadcast_to(np.asarray(t_grid)[None, :], (nd, nt))
-    dd = np.repeat(dirs, nt, axis=0)
-    for _ in range(46):
-        mid = 0.5 * (lo + h)
-        d = _chord(patch, u0, x0, dd, mid.reshape(-1)).reshape(nd, nt)
-        less = d < tt
-        lo = np.where(less, mid, lo)
-        h = np.where(less, h, mid)
-    return 0.5 * (lo + h)
 
 
 def _newton_rows(solve, x, data, floor, what):
@@ -748,10 +679,76 @@ def _cap_masses_implicit(surf, x0, weight, t_grid, dirs, dirw, gx, gw):
     return dirw @ (integ * rho)
 
 
-def _chord(patch, u0, x0, dirs, rho):
-    pts = u0[None, :] + rho[:, None] * dirs
-    y = patch.chart(pts)
-    return np.linalg.norm(y - x0[None, :], axis=1)
+def _ray_radii(patch, u0, x0, dirs, t_grid):
+    """Radii rho (K, len(dirs), len(t_grid)) where the parameter rays u0 + rho d
+    of a block of centers u0 (K, m) at x0 (K, n) reach |chart - x0| = t.
+
+    One ``_newton_rows`` loop from t / |J(u0) d|, step (|y| - t) / <y/|y|, J d>
+    with y = chart - x0; a center's step measure is its largest displacement
+    |J d| |step|, with the rounding floor of ``_graph_f``. A ray that wraps a
+    short chart fiber has no root before the chord's maximum: a Newton that
+    does not converge, a root with slope <= 0 or rho <= 0 raises ReachError.
+    """
+    K, m = u0.shape
+    nd, nt = len(dirs), len(t_grid)
+    d = np.repeat(dirs, nt, axis=0)
+    t = np.tile(np.asarray(t_grid, dtype=float), nd)
+    slope = np.empty((K, nd * nt))
+
+    def solve(rows, rho, ua, x0a):
+        pts = (ua[:, None, :] + rho[:, :, None] * d).reshape(-1, m)
+        y = patch.chart(pts).reshape(rho.shape + (-1,)) - x0a[:, None, :]
+        J = patch_jacobian(patch, pts)
+        jd = np.einsum("kpia,pa->kpi", J.reshape(rho.shape + J.shape[1:]), d)
+        r = np.linalg.norm(y, axis=2)
+        sa = np.einsum("kpi,kpi->kp", y, jd) / r
+        slope[rows] = sa
+        step = (r - t) / np.where(np.abs(sa) < 1e-300, 1e-300, sa)
+        return step, np.max(np.linalg.norm(jd, axis=2) * np.abs(step), axis=1)
+
+    rho0 = t / np.linalg.norm(np.einsum("kia,pa->kpi", patch_jacobian(patch, u0), d), axis=2)
+    floor = 1e-10 * np.maximum(1.0, np.max(np.abs(x0), axis=1))
+    try:
+        rho = _newton_rows(solve, rho0, (u0, x0), floor, "parameter-ray Newton")
+        # slope is read one step before the converged radius, enough for its sign
+        wrapped = np.any(slope <= 0.0) or np.any(rho <= 0.0)
+    except NumericError:
+        wrapped = True
+    if wrapped:
+        raise ReachError("a parameter ray wraps a short chart fiber before reaching "
+                         "delta; reduce delta or supply an implicit description")
+    return rho.reshape(K, nd, nt)
+
+
+def _cap_masses_rays(surf, patch, u0, weight, t_grid, dirs, dirw, gx, gw):
+    """Cap masses (K, len(t_grid)) around a block of centers u0 (K, m) of one
+    patch: radial Gauss sums of sqrt(det g) lambda rho^(m-1) up to the radii
+    of ``_ray_radii``, laid out per center as a one-center solve lays them
+    out, so a center's masses do not depend on its block. A radial point at
+    chord distance >= t raises ReachError.
+    """
+    m, K = surf.m, len(u0)
+    x0 = patch.chart(u0)
+    rho = _ray_radii(patch, u0, x0, dirs, t_grid)
+    rr = rho[..., None] * gx                                     # (K, nd, nt, ng)
+    flat = (u0[:, None, :] + rr.reshape(K, -1, 1)
+            * np.repeat(dirs, len(t_grid) * len(gx), axis=0)).reshape(-1, m)
+    sgv = volume_element(patch, flat).reshape(rr.shape)
+    y = patch.chart(flat).reshape(K, -1, surf.n)
+    # a chart of uneven speed can send the first guess past the chord's
+    # maximum, to a root of positive slope on a later sheet; the ray then
+    # leaves the cap before it
+    chord = np.linalg.norm(y - x0[:, None, :], axis=2).reshape(rr.shape)
+    if np.any(chord >= np.asarray(t_grid)[:, None]):
+        raise ReachError("a parameter ray leaves the cap before its root: it wraps a chart "
+                         "fiber; reduce delta or supply an implicit description")
+    lam = 1.0
+    if weight is not WeightKind.ONE:
+        nu0 = normals_on_patch(surf, patch, u0)
+        nuy = normals_on_patch(surf, patch, flat).reshape(y.shape)
+        lam = _pair_weight(weight, x0[:, None, :], nu0[:, None, :], y, nuy).reshape(rr.shape)
+    integ = (sgv * lam * rr ** (m - 1)) @ gw
+    return dirw @ (integ * rho)
 
 
 # ---------------------------------------------------------------------------
@@ -1087,62 +1084,6 @@ def relative_beta(body: ManifoldSpec, z, profile: DistanceProfile | None = None,
 
 
 # ---------------------------------------------------------------------------
-# direct double quadrature
-# ---------------------------------------------------------------------------
-
-def direct_double_quadrature(spec: ManifoldSpec, z, order: int = 64) -> complex:
-    """The defining double integral evaluated without the profile split.
-
-    Round circles and spheres use the chord substitution t = 2 r sin(phi/2),
-    with the diagonal singularity absorbed into a Gauss-Jacobi weight, so the
-    value is spectrally accurate for Re z > -m. Generic shapes fall back to
-    the plain all-pairs quadrature sum, whose diagonal error is O(order^-1);
-    bodies reduce to the nu-weighted boundary integral first.
-    """
-    zc = complex(z)
-    surf = spec.surface()
-    if spec.is_body:
-        inner = direct_double_quadrature_weighted(spec.boundary, zc + 2,
-                                                  WeightKind.NORMAL_PRODUCT, order)
-        return -inner / ((zc + 2) * (zc + spec.n))
-    return direct_double_quadrature_weighted(surf, zc, WeightKind.ONE, order)
-
-
-def direct_double_quadrature_weighted(spec: ManifoldSpec, z, weight: WeightKind,
-                                      order: int = 64) -> complex:
-    zc = complex(z)
-    surf = spec.surface()
-    params = _round_sphere_params(surf)
-    if params is not None:
-        m, r = params
-        if zc.real <= -m:
-            raise NumericError("direct quadrature converges only for Re z > -m")
-        lam = _round_weight_factor(weight, r)
-        vol = _round_chord_sphere_volume(m, r)
-        # I(z) = int_0^1 (2 r s)^(z+m-1) Lambda(2 r s) o_{m-1} (1-s^2)^((m-2)/2) 2 r ds
-        alpha = zc.real + m - 1
-        beta = (m - 2) / 2.0
-        nodes, wts = roots_jacobi(max(order, 48), beta, alpha)
-        s = 0.5 * (nodes + 1.0)
-        w = wts * 0.5 ** (alpha + beta + 1)
-        t = 2.0 * r * s
-        from .oracles import sphere_volume
-        o = sphere_volume(m - 1)
-        extra = s ** complex(0, zc.imag) if zc.imag else 1.0
-        vals = lam(t) * (1.0 + s) ** beta * extra
-        integ = np.sum(w * vals) * (2.0 * r) ** (zc + m) * o
-        return complex(vol * integ)
-    nodes = sample_quadrature(surf, order, with_normals=_needs_normals(weight) or None)
-    x, wq, nus = nodes.x, nodes.w, nodes.nu
-    d = np.sqrt(np.maximum(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2), 0.0))
-    lamm = _pair_weight(weight, x, nus, x, nus)
-    np.fill_diagonal(d, 1.0)
-    vals = d ** zc * lamm
-    np.fill_diagonal(vals, 0.0)
-    return complex(np.einsum("i,ij,j->", wq, vals, wq))
-
-
-# ---------------------------------------------------------------------------
 # polygonal knots: exact per-edge-pair continuation
 # ---------------------------------------------------------------------------
 
@@ -1202,71 +1143,6 @@ def _polygon_value(vertices, z, order: int) -> complex:
                 total += 2.0 * lens[i] * lens[j] * np.einsum(
                     "i,ij,j->", w01, d ** zc, w01)
     return total
-
-
-# ---------------------------------------------------------------------------
-# pointwise relative residues at z = -n
-# ---------------------------------------------------------------------------
-
-def relative_local_residue_at_point(body: ManifoldSpec, u, which: str = "boundary",
-                                    order: int = 48, delta: float | None = None,
-                                    n_ang: int = 64) -> float:
-    """Residue at z = -n of the pointwise relative energy.
-
-    For 'boundary' the weight is <y - x0, nu_y> with x0 the fixed point and y
-    integrated over the boundary; this is the constant o_{n-1}/2 on every
-    smooth body. For 'local' the normal is frozen at the fixed point,
-    <x0 - x, nu_{x0}>, which is not constant in general (an ellipse already
-    shows the spread). The residue equals the convergent integral itself
-    since the 1/(z + n) prefactor carries the pole.
-    """
-    bnd = body.boundary if body.is_body else body
-    if bnd.codim != 1:
-        raise NumericError("relative residues need a hypersurface boundary")
-    patch = bnd.patches[0]
-    m, n = bnd.m, bnd.m + 1
-    u = np.asarray(u, dtype=float).reshape(-1)
-    x0 = patch.chart(u[None, :])[0]
-    nu0 = patch.normal(u[None, :])[0]
-    if delta is None:
-        # no small-t model is fitted here, so the cutoff only needs to stay
-        # below the reach; a wide cutoff keeps the far-sum ramp resolved
-        delta = 0.5 * reach_estimate(body)
-
-    def lam(y, nuy):
-        if which == "boundary":
-            return np.einsum("nk,nk->n", y - x0[None, :], nuy)
-        if which == "local":
-            return (x0[None, :] - y) @ nu0
-        raise NumericError(f"unknown localization {which!r}")
-
-    # smooth partition of unity between the far pair sum and the local chart
-    far_cut, _ = _smooth_ramp(0.6 * delta, delta)
-    nodes = sample_quadrature(bnd, order, with_normals=True)
-    d = np.linalg.norm(nodes.x - x0[None, :], axis=1)
-    sel = d >= 0.6 * delta
-    far = float(np.sum(nodes.w[sel] * d[sel] ** (-n)
-                       * lam(nodes.x[sel], nodes.nu[sel]) * far_cut(d[sel])))
-    # near part: local polar quadrature; the weight kills the singularity
-    dirs, dirw = _direction_set(m, n_ang)
-    J = patch_jacobian(patch, u[None, :])[0]
-    sig = np.linalg.norm(J @ dirs.T, axis=0)
-    rho0 = delta / np.maximum(sig, 1e-12)
-    rho_star = _cross_radii(patch, u, x0, dirs, rho0, np.array([delta]))[:, 0]
-    gx, gw = gauss_rule(48)
-    gx = 0.5 * (gx + 1.0)
-    gw = 0.5 * gw
-    rr = rho_star[:, None] * gx[None, :]
-    flat = u[None, :] + rr.reshape(-1, 1) * np.repeat(dirs, len(gx), axis=0)
-    sgv = volume_element(patch, flat).reshape(rr.shape)
-    y = patch.chart(flat)
-    nuy = patch.normal(flat)
-    dloc = np.linalg.norm(y - x0[None, :], axis=1).reshape(rr.shape)
-    lamv = lam(y, nuy).reshape(rr.shape)
-    integ = (sgv * lamv * np.where(dloc > 0, dloc, 1.0) ** (-n)
-             * (1.0 - far_cut(dloc)) * rr ** (m - 1)) @ gw
-    near = float(dirw @ (integ * rho_star))
-    return far + near
 
 
 def _smooth_ramp(a: float, b: float):

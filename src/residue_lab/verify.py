@@ -319,9 +319,9 @@ def check_conformal_invariances() -> list[CheckResult]:
     s4 = _eb("s4")
     out.append(_check("positivity-12W+5Z-sphere-zero",
                       abs(12.0 * s4.weyl + 5.0 * s4.z_energy), 1e-8))
-    out.append(CheckResult("independence-rank3",
-                           conformal.independence_defect() > 1e-6,
-                           f"sigma_min/sigma_max={conformal.independence_defect():.3e}"))
+    defect = conformal.independence_defect()
+    out.append(CheckResult("independence-rank3", defect > 1e-6,
+                           f"sigma_min/sigma_max={defect:.3e}"))
     # sweep sanity: the round sphere row and its minimality for the GW column
     avals = [0.6, 0.8, 1.0, 1.4, 2.0, 2.6, 3.0]
     gws = [_gw(a, 40) for a in avals]

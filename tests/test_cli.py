@@ -456,3 +456,22 @@ def test_residues_order_flag_reaches_the_z_minus_8_row(capsys):
     rows = [ln.split() for ln in out.splitlines() if ln.startswith("residue ")]
     assert [r[1] for r in rows] == ["-4", "-6", "-8"]
     assert all(math.isfinite(float(r[2])) and math.isfinite(float(r[4])) for r in rows)
+
+
+def test_beta_on_the_clifford_torus(capsys):
+    # codimension 2: the near zone solves its caps along parameter rays. At
+    # z = 0 the energy is vol^2; the order-16 pair grid is 0.2% off it
+    code, out = run_cli(["--cmd", "beta", "--order", "16", "--z", "0", "--shape",
+                         '{"kind": "clifford_torus", "params": {"r1": 1, "r2": 1}}'], capsys)
+    assert code == 0
+    assert float(out.splitlines()[1].split(",")[1]) == pytest.approx(
+        (4 * math.pi ** 2) ** 2, rel=5e-3)
+
+
+def test_the_runtime_does_not_import_scipy():
+    import subprocess
+    import sys
+    code = "import sys, residue_lab.cli, residue_lab.mobius; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stdout.strip() == "False"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_jacobi
 
 import residue_lab.continuation as cont
 import residue_lab.manifold as M
@@ -242,6 +243,37 @@ def test_nonfinite_z_is_a_config_error(circle_profile):
 
 # --- beta evaluation ---------------------------------------------------------
 
+def direct_double_quadrature(spec, z, order=64) -> complex:
+    """The defining double integral evaluated without the profile split.
+
+    Round circles and spheres use the chord substitution t = 2 r sin(phi/2),
+    with the diagonal singularity absorbed into a Gauss-Jacobi weight, so the
+    value is spectrally accurate for Re z > -m. Other shapes take the plain
+    all-pairs quadrature sum, whose diagonal error is O(order^-1).
+    """
+    zc = complex(z)
+    params = cont._round_sphere_params(spec)
+    if params is not None:
+        m, r = params
+        # I(z) = int_0^1 (2 r s)^(z+m-1) o_{m-1} (1-s^2)^((m-2)/2) 2 r ds
+        alpha = zc.real + m - 1
+        beta = (m - 2) / 2.0
+        nodes, wts = roots_jacobi(max(order, 48), beta, alpha)
+        s = 0.5 * (nodes + 1.0)
+        w = wts * 0.5 ** (alpha + beta + 1)
+        extra = s ** complex(0, zc.imag) if zc.imag else 1.0
+        integ = (np.sum(w * (1.0 + s) ** beta * extra) * (2.0 * r) ** (zc + m)
+                 * O.sphere_volume(m - 1))
+        return complex(O.sphere_volume(m) * r ** m * integ)
+    nodes = quadrature.sample_quadrature(spec, order, with_normals=False)
+    x = nodes.x
+    d = np.sqrt(np.maximum(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2), 0.0))
+    np.fill_diagonal(d, 1.0)
+    vals = d ** zc
+    np.fill_diagonal(vals, 0.0)
+    return complex(np.einsum("i,ij,j->", nodes.w, vals, nodes.w))
+
+
 def test_beta_circle_values(circle_profile):
     assert cont.beta_eval(circle_profile, 0.0).value.real == pytest.approx(
         (2 * math.pi) ** 2, rel=1e-9)
@@ -252,16 +284,16 @@ def test_beta_circle_values(circle_profile):
 
 def test_beta_matches_direct_double_quadrature(circle_profile, torus_profile):
     for z in (2.0, 1.0, -0.4):
-        d = cont.direct_double_quadrature(M.circle(1.0), z)
+        d = direct_double_quadrature(M.circle(1.0), z)
         b = cont.beta_eval(circle_profile, z).value
         assert abs(b - d) / abs(d) < 1e-7
     # torus: z = 2 makes the pair integrand polynomial, so the plain pair sum
     # is spectrally accurate too
-    d = cont.direct_double_quadrature(M.torus(2.0, 1.0), 2.0, order=48)
+    d = direct_double_quadrature(M.torus(2.0, 1.0), 2.0, order=48)
     b = cont.beta_eval(torus_profile, 2.0).value
     assert abs(b - d) / abs(d) < 1e-7
     # at z = 1 the all-pairs sum carries the diagonal kink error
-    d = cont.direct_double_quadrature(M.torus(2.0, 1.0), 1.0, order=48)
+    d = direct_double_quadrature(M.torus(2.0, 1.0), 1.0, order=48)
     b = cont.beta_eval(torus_profile, 1.0).value
     assert abs(b - d) / abs(d) < 1e-4
 
@@ -406,20 +438,70 @@ def test_nu_body_duality_ellipsoid():
 
 # --- pointwise relative residues ----------------------------------------------
 
+def relative_local_residue_at_point(body, u, which, order):
+    """Residue at z = -n of the pointwise relative energy.
+
+    For 'boundary' the weight is <y - x0, nu_y> with x0 the fixed point and y
+    integrated over the boundary; this is the constant o_{n-1}/2 on every
+    smooth body. For 'local' the normal is frozen at the fixed point,
+    <x0 - x, nu_{x0}>, which is not constant in general (an ellipse already
+    shows the spread). The residue equals the convergent integral itself
+    since the 1/(z + n) prefactor carries the pole.
+    """
+    bnd = body.boundary
+    patch = bnd.patches[0]
+    m, n = bnd.m, bnd.m + 1
+    u = np.asarray(u, dtype=float).reshape(1, -1)
+    x0 = patch.chart(u)[0]
+    nu0 = patch.normal(u)[0]
+    # no small-t model is fitted here, so the cutoff only needs to stay below
+    # the reach; a wide cutoff keeps the far-sum ramp resolved
+    delta = 0.5 * M.reach_estimate(body)
+
+    def lam(y, nuy):
+        if which == "boundary":
+            return np.einsum("nk,nk->n", y - x0[None, :], nuy)
+        return (x0[None, :] - y) @ nu0
+
+    # smooth partition of unity between the far pair sum and the local chart
+    far_cut, _ = cont._smooth_ramp(0.6 * delta, delta)
+    nodes = quadrature.sample_quadrature(bnd, order, with_normals=True)
+    d = np.linalg.norm(nodes.x - x0[None, :], axis=1)
+    sel = d >= 0.6 * delta
+    far = float(np.sum(nodes.w[sel] * d[sel] ** (-n)
+                       * lam(nodes.x[sel], nodes.nu[sel]) * far_cut(d[sel])))
+    # near part: local polar quadrature; the weight kills the singularity
+    dirs, dirw = cont._direction_set(m, 64)
+    rho_star = cont._ray_radii(patch, u, x0[None, :], dirs, np.array([delta]))[0, :, 0]
+    gx, gw = quadrature.gauss_rule(48)
+    gx = 0.5 * (gx + 1.0)
+    gw = 0.5 * gw
+    rr = rho_star[:, None] * gx[None, :]
+    flat = u + rr.reshape(-1, 1) * np.repeat(dirs, len(gx), axis=0)
+    sgv = quadrature.volume_element(patch, flat).reshape(rr.shape)
+    y = patch.chart(flat)
+    nuy = patch.normal(flat)
+    dloc = np.linalg.norm(y - x0[None, :], axis=1).reshape(rr.shape)
+    lamv = lam(y, nuy).reshape(rr.shape)
+    integ = (sgv * lamv * np.where(dloc > 0, dloc, 1.0) ** (-n)
+             * (1.0 - far_cut(dloc)) * rr ** (m - 1)) @ gw
+    return far + float(dirw @ (integ * rho_star))
+
+
 def test_boundary_local_relative_residue_constant():
     from residue_lab.oracles import sphere_volume
     body = M.ball(3, 1.0)
     target = sphere_volume(2) / 2
     for u in ([0.6, 0.9], [1.2, 0.9], [2.0, 4.0]):
-        val = cont.relative_local_residue_at_point(body, u, "boundary", order=96)
+        val = relative_local_residue_at_point(body, u, "boundary", order=96)
         assert val == pytest.approx(target, rel=1e-3)
 
 
 def test_local_relative_residue_nonconstant_on_ellipse():
     eb = M.ellipsoid_body((1.0, 0.6))
     us = ([0.3], [0.9], [1.5], [2.2])
-    bl = [cont.relative_local_residue_at_point(eb, u, "boundary", order=512) for u in us]
-    loc = [cont.relative_local_residue_at_point(eb, u, "local", order=512) for u in us]
+    bl = [relative_local_residue_at_point(eb, u, "boundary", order=512) for u in us]
+    loc = [relative_local_residue_at_point(eb, u, "local", order=512) for u in us]
     for v in bl:
         assert v == pytest.approx(math.pi, rel=1e-3)
     assert max(loc) - min(loc) > 0.5  # genuinely non-constant
@@ -865,6 +947,158 @@ def test_a_cap_block_with_one_diverging_center_raises():
         cont._cap_masses_implicit(nan_spec, x0, WeightKind.ONE, *args)
 
 
+# --- parameter-ray caps ------------------------------------------------------
+
+def _user_torus(exact=False):
+    """torus(2, 1) as a user patch: no implicit, and unless ``exact`` no
+    normal and no Jacobian either."""
+    p = M.torus(2.0, 1.0).patches[0]
+    patch = p if exact else M.Patch(box=p.box, chart=p.chart, periodic=p.periodic)
+    return M.ManifoldSpec(kind="user", m=2, n=3, patches=(patch,))
+
+
+def _offset_ellipsoid():
+    return M.parallel_body(M.ellipsoid_body((1.0, 1.15, 0.9)), 0.05)
+
+
+def _chord(patch, u0, x0, dirs, rho):
+    return np.linalg.norm(patch.chart(u0[None, :] + rho[:, None] * dirs) - x0[None, :], axis=1)
+
+
+def _cross_radii(patch, u0, x0, dirs, rho0, t_grid):
+    """rho(direction, t) where |chart(u0 + rho dir) - x0| = t: a bracket
+    [0, hi] grown by 1.6 until every ray reaches max(t), then 46 bisection
+    steps, so each root is known to 2^-46 of its bracket."""
+    nd, nt = len(dirs), len(t_grid)
+    hi = rho0.copy()
+    for _ in range(60):
+        need = _chord(patch, u0, x0, dirs, hi) < t_grid[-1]
+        if not np.any(need):
+            break
+        hi[need] *= 1.6
+    else:
+        raise ReachError("a parameter ray wraps a short chart fiber")
+    lo = np.zeros((nd, nt))
+    h = np.repeat(hi[:, None], nt, axis=1)
+    dd = np.repeat(dirs, nt, axis=0)
+    for _ in range(46):
+        mid = 0.5 * (lo + h)
+        less = _chord(patch, u0, x0, dd, mid.reshape(-1)).reshape(nd, nt) < t_grid[None, :]
+        lo = np.where(less, mid, lo)
+        h = np.where(less, h, mid)
+    return 0.5 * (lo + h)
+
+
+def _near_masses_bisection(spec, weight, delta, t_grid, order_sub, n_ang):
+    """The parameter-ray cap loop one center at a time, by bisection."""
+    surf = spec.surface()
+    m = surf.m
+    dirs, dirw = cont._direction_set(m, n_ang)
+    gx, gw = quadrature.gauss_rule(12)
+    gx, gw = 0.5 * (gx + 1.0), 0.5 * gw
+    masses = np.zeros(len(t_grid))
+    for pi, u0s, wq in quadrature.integration_grid(surf, order_sub):
+        patch = surf.patches[pi]
+        for u0, wx in zip(u0s, wq):
+            x0 = patch.chart(u0[None, :])[0]
+            J = quadrature.patch_jacobian(patch, u0[None, :])[0]
+            rho0 = t_grid[-1] / np.linalg.norm(J @ dirs.T, axis=0)
+            rho = _cross_radii(patch, u0, x0, dirs, rho0, t_grid)
+            rr = rho[:, :, None] * gx[None, None, :]
+            flat = u0[None, :] + rr.reshape(-1, 1) * np.repeat(dirs, len(t_grid) * len(gx), axis=0)
+            lam = 1.0
+            if weight is not WeightKind.ONE:
+                nu0 = quadrature.normals_on_patch(surf, patch, u0[None, :])
+                lam = cont._pair_weight(weight, x0[None, :], nu0, patch.chart(flat),
+                                        quadrature.normals_on_patch(surf, patch, flat))
+                lam = lam.reshape(rr.shape)
+            integ = (quadrature.volume_element(patch, flat).reshape(rr.shape)
+                     * lam * rr ** (m - 1)) @ gw
+            masses += wx * (dirw @ (integ * rho))
+    return np.diff(np.concatenate([[0.0], masses]))
+
+
+@pytest.mark.parametrize("spec, weight, delta, n_ang, rtol", [
+    (M.clifford_torus(1.0, 1.0), WeightKind.ONE, 0.75, 8, 1e-12),
+    (M.clifford_torus(1.0, 2.0), WeightKind.ONE, 0.75, 8, 1e-12),
+    (_user_torus(), WeightKind.NU, 0.75, 16, 1e-11),
+    (_offset_ellipsoid(), WeightKind.ONE, 0.1 * 0.6158, 16, 1e-11)],
+    ids=["clifford-1-1", "clifford-1-2", "user-torus-nu", "offset-ellipsoid"])
+def test_ray_caps_match_the_bisection_loop(spec, weight, delta, n_ang, rtol):
+    # the user torus and the offset chart take finite-difference Jacobians,
+    # whose rounding makes their volume elements move by ~1e-11 when a root
+    # moves by the bisection's ~1e-13 (9.1e-12 and 1.5e-12 here; 1.7e-11
+    # and 5.8e-13 at 8 directions). 0.6158 is the offset's estimated reach
+    t = delta * np.arange(1, 9) / 8
+    masses = cont._near_masses(spec, weight, delta, t, 8, n_ang)
+    ref = _near_masses_bisection(spec, weight, delta, t, 8, n_ang)
+    assert np.max(np.abs(masses / ref - 1.0)) <= rtol
+
+
+def test_ray_radii_reach_the_closed_form_roots():
+    # along a chart axis of the Clifford torus the chord is 2 r sin(rho / 2).
+    # Newton stops at the rounding floor (1.7e-16 here); the bisection of
+    # _cross_radii stops at 2^-46 of its bracket (8.2e-15)
+    patch = M.clifford_torus(1.0, 2.0).patches[0]
+    u0 = np.array([[0.3, 1.7]])
+    dirs = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    t = 0.75 * np.arange(1, 23) / 22
+    rho = cont._ray_radii(patch, u0, patch.chart(u0), dirs, t)[0]
+    exact = 2.0 * np.arcsin(t / (2.0 * np.array([1.0, 2.0, 1.0, 2.0])[:, None]))
+    assert np.max(np.abs(rho - exact)) <= 1e-15
+
+
+@pytest.mark.parametrize("weight", [WeightKind.NU, WeightKind.NORMAL_PRODUCT])
+def test_user_patch_without_normal_takes_weighted_ray_caps(weight):
+    # the patch is oriented by its parametrization (inward here); both
+    # weights read the product of two normals, so the sign cancels. The
+    # builtin chart's exact normal and Jacobian give the reference. The
+    # finite-difference Jacobian is off by up to ~1e-10 relative, because
+    # the step fl(u + h) - u differs from h = 1e-5 by up to half an ulp of u:
+    # 9.9e-11 here, and weight one differs by 1.0e-10
+    t = 0.75 * np.arange(1, 9) / 8
+    user = cont._near_masses(_user_torus(), weight, 0.75, t, 6, 16)
+    builtin = cont._near_masses(_user_torus(exact=True), weight, 0.75, t, 6, 16)
+    assert np.max(np.abs(user / builtin - 1.0)) <= 2e-10
+
+
+def test_ray_cap_masses_do_not_depend_on_the_block():
+    from dataclasses import replace
+    spec = replace(M.torus(2.0, 1.0), implicit=None)
+    patch = spec.patches[0]
+    u0 = np.array([[0.3, 1.1], [2.0, 0.2], [4.4, 5.9]])
+    dirs, dirw = cont._direction_set(2, 16)
+    gx, gw = quadrature.gauss_rule(12)
+    args = (WeightKind.NU, 0.75 * np.arange(1, 9) / 8, dirs, dirw, 0.5 * (gx + 1.0), 0.5 * gw)
+    block = cont._cap_masses_rays(spec, patch, u0, *args)
+    for k in range(len(u0)):
+        assert np.array_equal(block[k], cont._cap_masses_rays(spec, patch, u0[k:k + 1], *args)[0])
+
+
+def test_a_ray_that_wraps_a_polar_fiber_raises():
+    # at the default delta, rays from the centers next to the offset
+    # ellipsoid's poles pass over the pole before they reach delta
+    with pytest.raises(ReachError, match="wraps a short chart fiber"):
+        cont.distance_profile(_offset_ellipsoid())
+
+
+def test_a_ray_root_on_a_later_sheet_raises():
+    # this circle chart moves at speed 0.1 at u = pi, so the first guess
+    # t / |J d| = 15 lands two turns on, where Newton converges to a root of
+    # positive slope; only the ray leaving the cap before it shows the wrap
+    def chart(u):
+        a = u[:, 0] + 0.9 * np.sin(u[:, 0])
+        return np.stack([np.cos(a), np.sin(a)], axis=1)
+
+    patch = M.Patch(box=((0.0, 2.0 * math.pi),), chart=chart, periodic=(True,))
+    spec = M.ManifoldSpec(kind="user", m=1, n=2, patches=(patch,))
+    gx, gw = quadrature.gauss_rule(12)
+    with pytest.raises(ReachError, match="leaves the cap"):
+        cont._cap_masses_rays(spec, patch, np.array([[math.pi]]), WeightKind.ONE,
+                              np.array([1.5]), *cont._direction_set(1, 32),
+                              0.5 * (gx + 1.0), 0.5 * gw)
+
+
 def test_orbit_rows_reproduce_the_full_pair_sum(torus_spec):
     # the midpoint grid is closed under the phi-step rotation, so the nodes at
     # phi index 0, weighted by the phi count, see the distances of every node
@@ -1057,7 +1291,7 @@ def test_thin_tori_match_direct_quadrature(R):
     # the cap Newton's rounding floor grows like R^2 / r, above any fixed
     # absolute step tolerance; z = 2 makes the pair sum spectrally accurate
     b = cont.beta_eval(cont.distance_profile(M.torus(R, 1.0), order=24), 2.0).value
-    d = cont.direct_double_quadrature(M.torus(R, 1.0), 2.0, order=48)
+    d = direct_double_quadrature(M.torus(R, 1.0), 2.0, order=48)
     assert abs(b - d) / abs(d) < 1e-7
 
 
