@@ -328,8 +328,8 @@ def reach_estimate(spec: ManifoldSpec, order: int = 8) -> float:
         axes = np.meshgrid(*(gauss_on(a, b, order)[0] for a, b in patch.box), indexing="ij")
         u = np.stack([ax.ravel() for ax in axes], axis=1)
         step = max(1, len(u) // 16)
-        # one frame per sample row: a stack rounds an ellipse's quadric through
-        # a longer BLAS tensordot, and its reach, hence delta, would move
+        # one frame per sample row; a stacked frame of the rows would give the
+        # same reach, since quadrics sum in order (open item in ROADMAP)
         for row in u[::step]:
             fr = curvature_frame(spec, row, patch_index=pi, max_order=2)
             worst = max(worst, math.sqrt(fr.hs_norm_sq))

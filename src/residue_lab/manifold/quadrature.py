@@ -71,7 +71,10 @@ def patch_jacobian(patch: Patch, u: np.ndarray) -> np.ndarray:
         for d in range(m):
             e = np.zeros(m)
             e[d] = step
-            cols.append((patch.chart(u + e) - patch.chart(u - e)) / (2.0 * step))
+            # over the step actually taken, (u + e) - (u - e), which is exact;
+            # it differs from 2 step by up to an ulp of u
+            cols.append((patch.chart(u + e) - patch.chart(u - e))
+                        / ((u + e)[:, d] - (u - e)[:, d])[:, None])
         return np.stack(cols, axis=2)
 
     j1 = central(1e-5)

@@ -161,7 +161,8 @@ def _sphere_periodic(m: int) -> tuple:
 
 def _diag_quadric_implicit(inv_sq: np.ndarray) -> ImplicitPoly:
     def poly(X, grad, ar):
-        F = ar.shift(np.tensordot(inv_sq, np.stack([ar.mul(x, x) for x in X]), axes=1), -1.0)
+        # an ordered sum, so a stack rounds each point as that point alone
+        F = ar.shift(sum(c * ar.mul(x, x) for c, x in zip(inv_sq, X)), -1.0)
         if not grad:
             return F
         return F, 2.0 * inv_sq.reshape((-1,) + (1,) * F.ndim) * X

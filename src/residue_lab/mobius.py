@@ -89,12 +89,14 @@ class MobiusMap:
     def check_guard(self, x: np.ndarray):
         y = np.atleast_2d(np.asarray(x, dtype=float))
         diam = float(np.linalg.norm(y.max(axis=0) - y.min(axis=0)))
-        for s in self.steps:
+        for k, s in enumerate(self.steps):
             if isinstance(s, Inversion):
                 d = np.linalg.norm(y - np.asarray(s.center)[None, :], axis=1)
                 if d.min() < GUARD_FRACTION * max(diam, 1e-300):
                     raise NumericError(
                         f"spec intersects the guard ball around inversion center {s.center}")
+            if not any(isinstance(t, Inversion) for t in self.steps[k + 1:]):
+                return  # no later center reads the mapped points
             y = s.apply(y)
 
 

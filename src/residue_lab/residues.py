@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import NumericError, fmt_float
+from .manifold import series
 from .manifold.frames import CurvatureFrame, curvature_frame, node_sum
 from .manifold.quadrature import body_volume, integration_grid
 from .manifold.quadrature import sample_quadrature  # noqa: F401  (bench/spans.py wraps it here)
@@ -48,8 +49,9 @@ class ResidueReport:
 # frame iteration
 # ---------------------------------------------------------------------------
 
-# most coefficients of one stacked series in a frame block: 104 rows of an
-# order-4 frame in m = 4, and a bound on the memory of any tensor grid
+# most coefficients of one stacked series in a frame block: 936 rows of an
+# order-4 frame in m = 4 (70 coefficients each), and a bound on the memory
+# of any tensor grid
 BLOCK_COEFFS = 1 << 16
 
 
@@ -68,7 +70,7 @@ def frame_integral(spec: ManifoldSpec, fn, order: int = 32, max_order: int = 2):
     bit-identical to a scalar call with that component alone, and the sum
     does not depend on the block size.
     """
-    rows = max(1, BLOCK_COEFFS // (max(2, max_order) + 1) ** spec.surface().m)
+    rows = max(1, BLOCK_COEFFS // series.size(spec.surface().m, max(2, max_order)))
     total = 0.0
     for pi, u, weights in integration_grid(spec, order):
         for lo in range(0, len(u), rows):

@@ -388,13 +388,32 @@ def test_torus_residues_take_the_periodic_rule(capsys):
     assert err <= 1e-12
 
 
-def test_frames_too_large_to_build_exit_3(capsys):
-    # an order-2 frame of sphere(16) needs 3^16 coefficients per series
+def test_frames_too_large_to_build_exit_3(capsys, monkeypatch):
+    # an order-2 frame of sphere(16) needs 561 coefficient products per
+    # series; no CLI shape reaches the real bound (sphere(64) needs 8,385),
+    # so the bound is lowered to just below sphere(16)'s table
     import time
+    from residue_lab.manifold import series
+    monkeypatch.setattr(series, "MAX_COEFFS", 560)
     t0 = time.perf_counter()
     code = cli.main(["--cmd", "residues", "--shape", '{"kind": "sphere", "params": {"m": 16}}'])
     assert code == 3 and time.perf_counter() - t0 < 5.0
     assert "coefficients" in capsys.readouterr().err
+
+
+def test_residues_of_sphere16_match_the_closed_forms(tmp_path):
+    # R(-m) = o_{m-1} Vol(S^m) and R(-m-2) = (o_{m-1} / 8m)(2m - m^2) Vol(S^m)
+    out = tmp_path / "r.txt"
+    code = cli.main(["--cmd", "residues", "--shape", '{"kind": "sphere", "params": {"m": 16}}',
+                     "--out", str(out)])
+    assert code == 0
+    got = {float(line.split()[1]): float(line.split()[2])
+           for line in out.read_text().splitlines() if line.startswith("residue ")}
+    o15, vol = oracles.sphere_volume(15), oracles.sphere_volume(16)
+    want = {-16.0: o15 * vol, -18.0: o15 / 128.0 * (32.0 - 256.0) * vol}
+    assert set(got) == set(want)
+    for pole, value in want.items():
+        assert abs(got[pole] / value - 1.0) <= 1e-12
 
 
 # --cmd beta output of the closed-form round profiles

@@ -1053,13 +1053,13 @@ def test_user_patch_without_normal_takes_weighted_ray_caps(weight):
     # the patch is oriented by its parametrization (inward here); both
     # weights read the product of two normals, so the sign cancels. The
     # builtin chart's exact normal and Jacobian give the reference. The
-    # finite-difference Jacobian is off by up to ~1e-10 relative, because
-    # the step fl(u + h) - u differs from h = 1e-5 by up to half an ulp of u:
-    # 9.9e-11 here, and weight one differs by 1.0e-10
+    # finite-difference Jacobian divides by the step actually taken, so what
+    # is left is its truncation and rounding: 1.3e-11 here, and weight one
+    # differs by 1.1e-11 (1e-10 when it divided by the nominal step)
     t = 0.75 * np.arange(1, 9) / 8
     user = cont._near_masses(_user_torus(), weight, 0.75, t, 6, 16)
     builtin = cont._near_masses(_user_torus(exact=True), weight, 0.75, t, 6, 16)
-    assert np.max(np.abs(user / builtin - 1.0)) <= 2e-10
+    assert np.max(np.abs(user / builtin - 1.0)) <= 3e-11
 
 
 def test_ray_cap_masses_do_not_depend_on_the_block():

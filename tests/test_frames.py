@@ -309,7 +309,27 @@ def test_series_mul_is_bit_identical_to_the_loop():
             shape = (deg + 1,) * m
             a = rng.normal(size=shape) * (rng.random(shape) < 0.6)
             b = rng.normal(size=shape) * 10.0 ** rng.integers(-4, 4)
-            assert np.array_equal(series.mul(a, b), _mul_loop_reference(a, b))
+            # the packed product, unpacked into the dense cube
+            at = tuple(np.array(series.monomials(m, deg)).T)
+            got = np.zeros(shape)
+            got[at] = series.mul(a[at], b[at], m)
+            assert np.array_equal(got, _mul_loop_reference(a, b))
+
+
+def test_a_series_above_the_bound_raises_before_its_table_is_built():
+    # sphere(64) to degree 6: 1.3e8 coefficients and 7.2e9 coefficient
+    # products; the bound is read before any monomial is enumerated
+    import time
+    from residue_lab.manifold import series
+    sph = M.sphere(64, 1.0)
+    p, U = np.eye(65)[-1], np.eye(65)[:64]
+    t0 = time.perf_counter()
+    with pytest.raises(NumericError, match="coefficients"):
+        series.implicit_graph(sph.implicit.ring, p, U, p, 6)
+    with pytest.raises(NumericError, match="coefficients"):
+        frame_integral(sph, lambda fr: fr.H, order=4, max_order=6)
+    assert time.perf_counter() - t0 < 5.0
+    assert series.size(16, 2) == 153 and series.size(4, 4) == 70
 
 
 def test_series_graph_solve_checks_its_residual():
@@ -319,9 +339,10 @@ def test_series_graph_solve_checks_its_residual():
     p, U = np.array([0.0, 0.0, 1.0]), np.eye(3)[:2]
     f = series.implicit_graph(ring, p, U, p, 4)
     # f = sqrt(1 - |u|^2) - 1 = -|u|^2/2 - |u|^4/8 - ...
-    assert f[2, 0] == pytest.approx(-0.5, abs=1e-15)
-    assert f[2, 2] == pytest.approx(-0.25, abs=1e-15)
-    assert f[4, 0] == pytest.approx(-0.125, abs=1e-15)
+    at = series.monomials(2, 4).index
+    assert f[at((2, 0))] == pytest.approx(-0.5, abs=1e-15)
+    assert f[at((2, 2))] == pytest.approx(-0.25, abs=1e-15)
+    assert f[at((4, 0))] == pytest.approx(-0.125, abs=1e-15)
 
     def wrong_slope(X, grad, m):
         if not grad:

@@ -4,6 +4,7 @@ Random graph jets exercise the generic direction-sphere expansion; the
 closed-form kappa/c/d formulas for the local residues must agree exactly.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -43,6 +44,20 @@ def _wzero(m: int) -> np.ndarray:
     return np.zeros((_WDEG + 1,) * m)
 
 
+@functools.lru_cache(maxsize=None)
+def _packed_at(m: int, deg: int) -> tuple:
+    """Dense-cube index of each packed series coefficient."""
+    return tuple(np.array(_series.monomials(m, deg)).T)
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Truncated product of dense (deg+1)^m cubes, through the packed ``series.mul``."""
+    at = _packed_at(a.ndim, a.shape[0] - 1)
+    out = np.zeros_like(a)
+    out[at] = _series.mul(a[at], b[at], a.ndim)
+    return out
+
+
 def _radial_pieces(frame: CurvatureFrame):
     """Homogeneous pieces F_k(w) (k = 2, 3, 4) of f(r w)/r^k, one w-poly per normal axis."""
     m, q = frame.m, frame.codim
@@ -69,7 +84,7 @@ def _radial_pieces(frame: CurvatureFrame):
 def _dot(Fa, Fb, m):
     acc = _wzero(m)
     for a, b in zip(Fa, Fb):
-        acc += _series.mul(a, b)
+        acc += _mul(a, b)
     return acc
 
 
@@ -132,12 +147,12 @@ def _area_density_pieces(frame: CurvatureFrame, upto: int):
     e2 = _wzero(m)
     for i in range(m):
         for j in range(m):
-            e2 += _series.mul(M2[i][i], M2[j][j]) - _series.mul(M2[i][j], M2[j][i])
+            e2 += _mul(M2[i][i], M2[j][j]) - _mul(M2[i][j], M2[j][i])
     e2 *= 0.5
     # sqrt(1 + x) = 1 + x/2 - x^2/8
     W2 = 0.5 * tr2
     W3 = 0.5 * tr3
-    W4 = 0.5 * (tr4 + e2) - 0.125 * _series.mul(tr2, tr2)
+    W4 = 0.5 * (tr4 + e2) - 0.125 * _mul(tr2, tr2)
     return W2, W3, W4
 
 
@@ -161,7 +176,7 @@ def xi_coefficients(frame: CurvatureFrame, z: float, weight: str = "one",
     if upto >= 3 and 3 in G:
         P[3] += half * G[3]
     if upto >= 4 and 4 in G:
-        P[4] += half * G[4] + 0.5 * half * (half - 1.0) * _series.mul(G[2], G[2])
+        P[4] += half * G[4] + 0.5 * half * (half - 1.0) * _mul(G[2], G[2])
     if weight == "nu":
         return P
     if weight != "one":
@@ -173,7 +188,7 @@ def xi_coefficients(frame: CurvatureFrame, z: float, weight: str = "one",
     if upto >= 3:
         out[3] += W3
     if upto >= 4:
-        out[4] += W4 + half * _series.mul(G[2], W2)
+        out[4] += W4 + half * _mul(G[2], W2)
     return out
 
 
@@ -227,7 +242,7 @@ def relative_coefficients(frame: CurvatureFrame, z: float, which: str,
         W2, W3, W4 = _area_density_pieces(frame, 4)
         B = [-f2p,
              -f3p if f3p is not None else _wzero(m),
-             (-f4p if f4p is not None else _wzero(m)) - _series.mul(f2p, W2)]
+             (-f4p if f4p is not None else _wzero(m)) - _mul(f2p, W2)]
     else:
         raise NumericError(f"unknown relative integrand {which!r}")
     out = []
@@ -235,7 +250,7 @@ def relative_coefficients(frame: CurvatureFrame, z: float, which: str,
         acc = _wzero(m)
         for a in range(k + 1):
             if a < len(B) and B[a] is not None and (k - a) < len(P):
-                acc += _series.mul(P[k - a], B[a])
+                acc += _mul(P[k - a], B[a])
         out.append(acc)
     return out
 

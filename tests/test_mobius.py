@@ -268,16 +268,18 @@ def test_pointwise_implicit_matches_the_ring(spec):
     x = spec.patches[0].chart(u) + 0.05
     F, g = spec.implicit.value_and_gradient(x)
     assert np.array_equal(spec.implicit.value(x), F)
+    from residue_lab.manifold import series
+    # packed coefficient index of u_0, u_1, u_2 in a degree-1 series
+    lin = [series.monomials(3, 1).index(tuple(e)) for e in np.eye(3, dtype=int).tolist()]
     for p, Fp, gp in zip(x, F, g):
-        X = np.zeros((3, 2, 2, 2))
-        X[:, 0, 0, 0] = p
-        X[0, 1, 0, 0] = X[1, 0, 1, 0] = X[2, 0, 0, 1] = 1.0
+        X = np.zeros((3, 4))
+        X[:, 0] = p
+        X[[0, 1, 2], lin] = 1.0
         ring_F, ring_g = spec.implicit.ring(X, True, 3)
         scale = np.max(np.abs(gp))
-        assert abs(ring_F[0, 0, 0] - Fp) <= 1e-13 * scale
-        assert np.max(np.abs([ring_F[1, 0, 0], ring_F[0, 1, 0], ring_F[0, 0, 1]] - gp)) \
-            <= 1e-13 * scale
-        assert np.max(np.abs(ring_g[:, 0, 0, 0] - gp)) <= 1e-13 * scale
+        assert abs(ring_F[0] - Fp) <= 1e-13 * scale
+        assert np.max(np.abs(ring_F[lin] - gp)) <= 1e-13 * scale
+        assert np.max(np.abs(ring_g[:, 0] - gp)) <= 1e-13 * scale
 
 
 def test_the_guard_reads_the_chart_points_of_the_grid():
@@ -291,3 +293,27 @@ def test_the_guard_reads_the_chart_points_of_the_grid():
         MB.transform_spec(tor, MB.MobiusMap((MB.Inversion(center=tuple(node)),)))
     image = MB.transform_spec(tor, MB.MobiusMap((MB.Inversion(center=(0.0, 0.0, 3.0)),)))
     assert image.implicit is not None
+
+
+class _Unread:
+    def apply(self, x):
+        raise AssertionError("a point was mapped after the last inversion")
+
+
+def test_a_second_inversion_center_is_checked_against_the_first_image():
+    # the first image of the torus lies within 0.5 of (0, 0, 3), 1.5 or more
+    # from the torus itself: a second center on the image of a grid node
+    # raises only if the guard reads the mapped points
+    from residue_lab.manifold.quadrature import patch_grid
+    tor = M.torus(2.0, 1.0)
+    patch = tor.patches[0]
+    first = MB.Inversion(center=(0.0, 0.0, 3.0))
+    x = patch.chart(patch_grid(patch, 16)[0])
+    node = first.apply(x)[37]
+    assert np.min(np.linalg.norm(x - node, axis=1)) > 1.0
+    with pytest.raises(NumericError, match="guard ball"):
+        MB.transform_spec(tor, MB.MobiusMap((first, MB.Inversion(center=tuple(node)))))
+    image = MB.transform_spec(tor, MB.MobiusMap((first, MB.Inversion(center=(0.0, 0.0, -3.0)))))
+    assert image.implicit is not None
+    # no step after the last inversion maps the points
+    MB.MobiusMap((first, MB.Inversion(center=(0.0, 0.0, -3.0)), _Unread())).check_guard(x)

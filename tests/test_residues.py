@@ -400,7 +400,7 @@ def test_frame_integral_does_not_depend_on_the_block_split(fn, max_order, spec, 
     whole = R.frame_integral(spec, fn, order=order, max_order=max_order)
     nodes = sum(len(u) for _, u, _ in Q.integration_grid(spec, order))
     # blocks of about half the nodes: the first block ends mid-grid
-    per_row = (max(2, max_order) + 1) ** spec.m
+    per_row = math.comb(spec.m + max(2, max_order), spec.m)
     monkeypatch.setattr(R, "BLOCK_COEFFS", per_row * ((nodes + 1) // 2))
     calls = []
     monkeypatch.setattr(R, "curvature_frame",
