@@ -33,34 +33,36 @@ def chunked_map_reduce(func, chunks, workers=None):
     """Apply ``func`` to each chunk and sum the results in fixed chunk order.
 
     The chunk decomposition never depends on the worker count, and the
-    reduction is a fixed-order pairwise sum, so the result is bit-identical
-    for any ``workers`` value.
+    reduction is a fixed-order pairwise (tree) sum, so the result is
+    bit-identical for any ``workers`` value. Each result is merged as it
+    arrives into a binary-counter stack of partial sums: a new partial
+    merges with the top one while both cover as many chunks, and the stack
+    folds from the top at the end. That builds the tree of the level-wise
+    sum ((p0 + p1) + (p2 + p3)) + ..., an odd tail joining last, and holds
+    O(log n) partials instead of n results.
     """
     chunks = list(chunks)
     if not chunks:
         raise ValueError("chunked_map_reduce needs at least one chunk")
     workers = default_workers() if workers is None else max(1, int(workers))
     if workers == 1 or len(chunks) == 1:
-        parts = [func(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(func, chunks))
-    return pairwise_sum(parts)
+        return _tree_sum(map(func, chunks))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return _tree_sum(pool.map(func, chunks))
 
 
-def pairwise_sum(parts):
-    """Fixed-order pairwise (tree) reduction of a list of numpy-compatible values."""
-    items = list(parts)
-    if not items:
-        raise ValueError("empty reduction")
-    while len(items) > 1:
-        nxt = []
-        for i in range(0, len(items) - 1, 2):
-            nxt.append(items[i] + items[i + 1])
-        if len(items) % 2:
-            nxt.append(items[-1])
-        items = nxt
-    return items[0]
+def _tree_sum(parts):
+    stack = []  # (chunks covered, partial sum); the counts fall toward the top
+    for part in parts:
+        count, acc = 1, part
+        while stack and stack[-1][0] == count:
+            below, left = stack.pop()
+            count, acc = count + below, left + acc
+        stack.append((count, acc))
+    acc = stack.pop()[1]
+    while stack:
+        acc = stack.pop()[1] + acc
+    return acc
 
 
 def fmt_float(x: float) -> str:

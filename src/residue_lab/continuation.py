@@ -929,9 +929,17 @@ def _tail_part(profile: DistanceProfile, z: complex) -> complex:
     # the cell's weighted mean distance, kept inside the cell: a signed
     # weight (<nu_x, nu_y>) that nearly cancels puts wd / w anywhere
     mid = np.clip(np.divide(wd, w, out=mid.copy(), where=mask), lo, hi)
-    f = mid ** z
-    f1 = z * mid ** (z - 1)
-    f2 = z * (z - 1) * mid ** (z - 2)
+    # an empty cell adds exact zeros, so its powers are not taken
+    live = mask | (wd != 0.0) | (wd2 != 0.0)
+    if np.any(live & (mid == 0.0)):
+        raise NumericError("a weighted tail cell of the profile lies at distance 0")
+
+    def power(p):
+        return np.power(mid, p, out=np.zeros(mid.shape, np.result_type(mid, p)), where=live)
+
+    f = power(z)
+    f1 = z * power(z - 1)
+    f2 = z * (z - 1) * power(z - 2)
     # second-order expansion around that point
     m2 = wd2 - 2.0 * mid * wd + mid ** 2 * w
     return complex(np.sum(f * w + f1 * (wd - mid * w) + 0.5 * f2 * m2))

@@ -104,21 +104,36 @@ def _axis_rule(a: float, b: float, count: int, periodic: bool):
     return gauss_on(a, b, count)
 
 
-def patch_grid(patch: Patch, order):
-    """Tensor grid on the patch box: (u, w_param). ``order`` is the node count
-    of every axis, or a sequence of one count per axis."""
+def patch_grid_blocks(patch: Patch, order):
+    """The tensor grid of ``patch_grid``, one (u, w_param) block per node of
+    the first axis: the rows whose first coordinate is that node, in grid
+    order. A block's weights start from that node's weight and take the
+    outer products with the other axes left to right, so the blocks
+    concatenate to the whole grid's weights bit for bit."""
     counts = np.broadcast_to(order, (len(patch.box),))
     axes, wts = [], []
     for (a, b), count, periodic in zip(patch.box, counts, patch.periodic):
         xs, ws = _axis_rule(a, b, int(count), periodic)
         axes.append(xs)
         wts.append(ws)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    u = np.stack([mm.ravel() for mm in mesh], axis=1)
-    w = wts[0]
-    for wi in wts[1:]:
-        w = np.multiply.outer(w, wi)
-    return u, w.ravel()
+    rest = np.meshgrid(*axes[1:], indexing="ij")
+    inner = np.stack([mm.ravel() for mm in rest], axis=1) if rest else np.empty((1, 0))
+    for i, x0 in enumerate(axes[0]):
+        u = np.empty((len(inner), len(axes)))
+        u[:, 0] = x0
+        u[:, 1:] = inner
+        w = wts[0][i:i + 1]
+        for wi in wts[1:]:
+            w = np.multiply.outer(w, wi)
+        yield u, w.ravel()
+
+
+def patch_grid(patch: Patch, order):
+    """Tensor grid on the patch box: (u, w_param). ``order`` is the node count
+    of every axis, or a sequence of one count per axis."""
+    blocks = list(patch_grid_blocks(patch, order))
+    return (np.concatenate([u for u, _ in blocks]),
+            np.concatenate([w for _, w in blocks]))
 
 
 def _tensor_blocks(surf: ManifoldSpec, order):

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import NumericError
-from .manifold.quadrature import patch_grid, patch_jacobian
+from .manifold.quadrature import patch_grid_blocks, patch_jacobian
 from .manifold.quadrature import sample_quadrature  # noqa: F401  (bench/spans.py wraps it here)
 from .manifold.shapes import ImplicitPoly, ManifoldSpec, Patch, axis_symmetric
 
@@ -86,18 +86,43 @@ class MobiusMap:
         v = np.einsum("nij,nj->ni", self.differential(x), np.atleast_2d(nu))
         return v / np.linalg.norm(v, axis=1, keepdims=True)
 
-    def check_guard(self, x: np.ndarray):
-        y = np.atleast_2d(np.asarray(x, dtype=float))
-        diam = float(np.linalg.norm(y.max(axis=0) - y.min(axis=0)))
-        for k, s in enumerate(self.steps):
-            if isinstance(s, Inversion):
-                d = np.linalg.norm(y - np.asarray(s.center)[None, :], axis=1)
-                if d.min() < GUARD_FRACTION * max(diam, 1e-300):
-                    raise NumericError(
-                        f"spec intersects the guard ball around inversion center {s.center}")
-            if not any(isinstance(t, Inversion) for t in self.steps[k + 1:]):
-                return  # no later center reads the mapped points
-            y = s.apply(y)
+    def check_guard(self, blocks):
+        """Refuse the map when a source point comes within ``GUARD_FRACTION`` x
+        the source diameter of an inversion center.
+
+        ``blocks`` is an iterable of row blocks of source points, read once.
+        Each block updates the bounding box of the source and, for every
+        inversion, the least distance from its center to the block as mapped
+        by the steps before it; no step after the last inversion is applied.
+        The inversions are then compared in step order, so the first center
+        too close is the one named. Inversion k is only compared after every
+        earlier one passed, when every point went through those finitely, so
+        the decision is the one a single array of all points gives. A block
+        mapped past a center that then fails may overflow or divide by zero;
+        that mapping runs with numpy's floating-point warnings off.
+        """
+        last = max((k for k, s in enumerate(self.steps) if isinstance(s, Inversion)),
+                   default=None)
+        if last is None:
+            return
+        steps = self.steps[:last + 1]
+        near = [np.inf] * len(steps)   # stays inf for a similarity
+        lo, hi = np.inf, -np.inf
+        for x in blocks:
+            y = np.atleast_2d(np.asarray(x, dtype=float))
+            lo, hi = np.minimum(lo, y.min(axis=0)), np.maximum(hi, y.max(axis=0))
+            with np.errstate(all="ignore"):
+                for k, s in enumerate(steps):
+                    if isinstance(s, Inversion):
+                        d = np.linalg.norm(y - np.asarray(s.center)[None, :], axis=1)
+                        near[k] = np.fmin(near[k], d.min())
+                    if k < last:
+                        y = s.apply(y)
+        guard = GUARD_FRACTION * max(float(np.linalg.norm(hi - lo)), 1e-300)
+        for s, d in zip(steps, near):
+            if d < guard:
+                raise NumericError(
+                    f"spec intersects the guard ball around inversion center {s.center}")
 
 
 def _pull_back(poly, steps, sign: float):
@@ -181,7 +206,7 @@ def transform_spec(spec: ManifoldSpec, mmap: MobiusMap) -> ManifoldSpec:
     rotation. Its integrals then take one node per rotation orbit.
     """
     surf = spec.surface()
-    mmap.check_guard(np.concatenate([p.chart(patch_grid(p, 16)[0]) for p in surf.patches]))
+    mmap.check_guard(p.chart(u) for p in surf.patches for u, _ in patch_grid_blocks(p, 16))
     implicit, sign = None, 1.0
     if surf.implicit is not None:
         sign = _orientation(surf.implicit, mmap)

@@ -1,6 +1,7 @@
 import functools
 import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -1256,6 +1257,35 @@ def test_tail_expansion_point_stays_in_its_cell():
                           * (w2 - 2.0 * mid * w1 + mid ** 2 * w0))
         assert abs(cont._tail_part(prof, z) - midpoint) <= 1e-12
         assert abs(cont._tail_part(prof, z) - np.sum(w * d ** z)) <= 1e-12
+
+
+def _tail_profile(edges, w, wd, wd2):
+    return cont.DistanceProfile(
+        m=2, vol=1.0, cut=(0.25, 0.5), diam=float(edges[-1]), weight="one",
+        mode="empirical", coeffs=np.zeros(1), fit_residual=0.0, fit_condition=1.0,
+        coeff_errors=np.zeros(1), tail_edges=np.array(edges), tail_w=np.array(w),
+        tail_wd=np.array(wd), tail_wd2=np.array(wd2))
+
+
+def test_a_tail_cell_at_distance_0_warns_nothing():
+    # the first cell starts at 0. Empty, it takes no powers, so it neither
+    # divides by zero nor turns the sum to nan: it adds exact zeros.
+    # Weighted at mid = 0, it is a NumericError
+    d, wt = np.array([0.7, 1.2]), np.array([0.3, 0.2])
+    moments = [wt * d ** k for k in range(3)]
+    past_zero = _tail_profile([0.5, 1.0, 1.5], *moments)
+    from_zero = _tail_profile([0.0, 0.5, 1.0, 1.5], *([0.0, *mk] for mk in moments))
+    weighted = _tail_profile([0.0, 0.5, 1.0, 1.5], *([c, *mk] for c, mk in
+                                                      zip((0.1, 0.0, 0.0), moments)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (-3.0, -2.5, 0.5, complex(-1.5, 0.25)):
+            assert cont._tail_part(from_zero, z) == cont._tail_part(past_zero, z)
+            assert abs(cont._tail_part(from_zero, z) - np.sum(wt * d ** z)) <= 1e-12
+        assert cont.beta_eval(from_zero, -3.0).value == cont.beta_eval(past_zero, -3.0).value
+        for z in (-3.0, 1.0):
+            with pytest.raises(NumericError, match="distance 0"):
+                cont.beta_eval(weighted, z)
 
 
 def test_coeff_errors_cover_two_summation_orders_of_the_caps():

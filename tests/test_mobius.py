@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -316,4 +318,62 @@ def test_a_second_inversion_center_is_checked_against_the_first_image():
     image = MB.transform_spec(tor, MB.MobiusMap((first, MB.Inversion(center=(0.0, 0.0, -3.0)))))
     assert image.implicit is not None
     # no step after the last inversion maps the points
-    MB.MobiusMap((first, MB.Inversion(center=(0.0, 0.0, -3.0)), _Unread())).check_guard(x)
+    MB.MobiusMap((first, MB.Inversion(center=(0.0, 0.0, -3.0)), _Unread())).check_guard([x])
+
+
+def _torus_guard_blocks():
+    from residue_lab.manifold.quadrature import patch_grid_blocks
+    tor = M.torus(2.0, 1.0)
+    patch = tor.patches[0]
+    return tor, [patch.chart(u) for u, _ in patch_grid_blocks(patch, 16)]
+
+
+def test_the_guard_names_the_first_center_too_close_in_step_order():
+    # the second center sits on the first image of a node of block 2, the
+    # first center next to a node of block 10: the stream meets the second
+    # hit first, and the guard still names the first center
+    tor, blocks = _torus_guard_blocks()
+    near = blocks[10][3] + np.array([0.0, 0.0, 0.01])
+    first = MB.Inversion(center=tuple(near))
+    second = MB.Inversion(center=tuple(first.apply(blocks[2])[5]))
+    assert np.min(np.linalg.norm(np.concatenate(blocks[:10]) - near, axis=1)) > 0.1
+    for mmap in (MB.MobiusMap((first, second)), MB.MobiusMap((first, second, _Unread()))):
+        with pytest.raises(NumericError, match=re.escape(str(first.center))):
+            mmap.check_guard(iter(blocks))
+    with pytest.raises(NumericError, match=re.escape(str(first.center))):
+        MB.transform_spec(tor, MB.MobiusMap((first, second)))
+    # with the first center moved away, the second is the one named
+    far = MB.Inversion(center=(0.0, 0.0, 3.0))
+    second = MB.Inversion(center=tuple(far.apply(blocks[2])[5]))
+    with pytest.raises(NumericError, match=re.escape(str(second.center))):
+        MB.transform_spec(tor, MB.MobiusMap((far, second)))
+
+
+def test_a_center_on_a_grid_node_refuses_without_a_numpy_warning():
+    # mapping the node's block through the first inversion divides by zero;
+    # the guard still refuses on the first center, and prints nothing
+    tor, blocks = _torus_guard_blocks()
+    first = MB.Inversion(center=tuple(blocks[4][7]))
+    mmap = MB.MobiusMap((first, MB.Inversion(center=(0.0, 0.0, -3.0))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=re.escape(str(first.center))):
+            MB.transform_spec(tor, mmap)
+        with pytest.raises(NumericError, match=re.escape(str(first.center))):
+            mmap.check_guard(blocks)
+
+
+def test_the_guard_streams_the_4d_grid():
+    # the order-16 guard grid of a 4-D shape has 65,536 points; charted one
+    # first-axis node (4,096 rows) at a time, the transform holds under 2 MB
+    import tracemalloc
+    spec = M.spheroid(math.sqrt(2.0))
+    mmap = MB.MobiusMap((MB.Inversion(center=(0.0, 0.0, 0.0, 0.0, 3.0)),))
+    MB.transform_spec(spec, mmap)
+    tracemalloc.start()
+    try:
+        MB.transform_spec(spec, mmap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20

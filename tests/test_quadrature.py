@@ -203,3 +203,41 @@ def test_generic_shapes_keep_the_tensor_grid():
     u_grid, wp = patch_grid(patch, 8)
     assert pi == 0 and np.array_equal(u, u_grid)
     assert np.array_equal(w, wp * volume_element(patch, u_grid))
+
+
+def _one_array_grid(box, periodic, counts):
+    """The tensor grid built as one array: a meshgrid of the axis rules, and
+    weights as outer products taken left to right."""
+    from residue_lab.manifold.quadrature import _axis_rule
+    rules = [_axis_rule(a, b, c, p) for (a, b), c, p in zip(box, counts, periodic)]
+    mesh = np.meshgrid(*[x for x, _ in rules], indexing="ij")
+    w = rules[0][1]
+    for _, wi in rules[1:]:
+        w = np.multiply.outer(w, wi)
+    return np.stack([mm.ravel() for mm in mesh], axis=1), w.ravel()
+
+
+@pytest.mark.parametrize("periodic, order", [
+    ((True,), 7), ((False,), 5),
+    ((True, False), 6), ((False, True), (5, 3)), ((True, True), 4),
+    ((False, False, True), (4, 3, 5)), ((True, False, False), 3),
+    ((False, False, False, True), (3, 4, 2, 5)), ((True, True, False, False), 4),
+])
+def test_patch_grid_blocks_concatenate_to_the_one_array_grid(periodic, order):
+    # one block per node of the first axis, in grid order; rows and weights
+    # bit-identical to the grid built as one array
+    from residue_lab.manifold.quadrature import patch_grid, patch_grid_blocks
+    m = len(periodic)
+    box = tuple((0.1 * k, 1.3 + 0.7 * k) for k in range(m))
+    patch = Patch(box=box, chart=lambda u: u, periodic=periodic)
+    counts = [int(c) for c in np.broadcast_to(order, (m,))]
+    blocks = list(patch_grid_blocks(patch, order))
+    assert len(blocks) == counts[0]
+    for u, w in blocks:
+        assert u.shape == (math.prod(counts[1:]), m) and w.shape == (len(u),)
+        assert np.all(u[:, 0] == u[0, 0])
+    u_ref, w_ref = _one_array_grid(box, periodic, counts)
+    u, w = patch_grid(patch, order)
+    assert np.array_equal(np.concatenate([b[0] for b in blocks]), u_ref)
+    assert np.array_equal(np.concatenate([b[1] for b in blocks]), w_ref)
+    assert np.array_equal(u, u_ref) and np.array_equal(w, w_ref)
